@@ -14,7 +14,7 @@ with the middle ratio read as t * e^{-lam_bar t} at kap + lam_bar = lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,13 +156,7 @@ def decay_study(
     checkpoints = np.asarray(checkpoints, dtype=float)
     horizon = float(checkpoints[-1])
     ens_mu = simulate_mckean_vlasov(x0_mu, coeffs, 0.0, horizon, sim_cfg)
-    cfg_nu = SimConfig(
-        dt=sim_cfg.dt,
-        seed=sim_cfg.seed + 1,
-        record_every=sim_cfg.record_every,
-        kde=sim_cfg.kde,
-        noise_block=sim_cfg.noise_block,
-    )
+    cfg_nu = replace(sim_cfg, seed=sim_cfg.seed + 1)
     ens_nu = simulate_frozen(x0_nu, ens_mu, coeffs, 0.0, horizon, cfg_nu)
 
     rng = np.random.default_rng(boot_seed)

@@ -11,7 +11,10 @@ and the measure coordinate follows the nonlinear flow from mu.
 
 Two backends: Monte Carlo over a frozen particle cloud (with standard
 errors), and a deterministic backward grid solve of the Kolmogorov equation
-with potential along the flow (exact in the measure coordinate).
+with potential along the flow (exact in the measure coordinate). The grid
+backend owns no discretization: it is the transposed frozen finite-volume
+step of ``fpe``, so without potential and source it is the discrete adjoint
+of the frozen Fokker-Planck solve that ``lifted`` uses for the kernel.
 
 Also provides finite-difference derivatives of measure functionals along
 pushforward curves, which is how the backward equation's measure term is
@@ -23,10 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .coefficients import CoefficientSet
-from .fpe import DensityPath, SolverConfig, solve_nonlinear_fpe
+from .fpe import (
+    DensityPath,
+    SolverConfig,
+    _check_flow,
+    solve_backward_kolmogorov,
+    solve_nonlinear_fpe,
+)
 from .measures import CylindricalFunction, GridDensity1D, pushforward
 from .particles import _NoiseBank
 
@@ -114,52 +122,25 @@ def fk_evaluate_grid(
     mu: GridDensity1D,
     cfg: SolverConfig,
     flow: DensityPath | None = None,
-) -> GridDensity1D | np.ndarray:
+) -> np.ndarray:
     """Deterministic evaluation on the grid of mu (one-dimensional).
 
     Solves the backward Kolmogorov equation with potential and source along
-    the nonlinear flow by implicit Euler; returns u(t, ., mu) on the cell
-    centers.
+    the nonlinear flow from mu by ``fpe.solve_backward_kolmogorov``, the
+    transposed semi-implicit frozen FPE step; returns u(t, ., mu) on the cell
+    centers. Without potential and source, interpolating the result at y
+    equals the forward kernel P_{t,T} Phi(y, mu) to roundoff.
     """
     if problem.coeffs.d != 1:
         raise ValueError("grid backend is one-dimensional")
     if flow is None:
         flow = _flow_for(problem, t, mu, cfg)
-    centers = mu.centers
-    X = centers[:, None]
-    M = centers.shape[0]
-    dx = mu.dx
-    w = np.asarray(problem.terminal(X, flow.state_at(problem.horizon)), dtype=float).copy()
-    n_steps = int(round((problem.horizon - t) / cfg.dt))
-    for k in range(n_steps, 0, -1):
-        r = t + (k - 1) * cfg.dt
-        mu_r = flow.state_at(r)
-        b = np.asarray(problem.coeffs.b_bar(r, X, mu_r), dtype=float)[:, 0]
-        s = np.asarray(problem.coeffs.sigma_bar(r, X, mu_r), dtype=float)
-        a = np.einsum("nij,nij->n", s, s)
-        V = (
-            np.asarray(problem.potential(r, X, mu_r), dtype=float)
-            if problem.potential is not None
-            else np.zeros(M)
-        )
-        f = (
-            np.asarray(problem.source(r, X, mu_r), dtype=float)
-            if problem.source is not None
-            else np.zeros(M)
-        )
-        # (I - dt (L + V)) w(r) = w(r + dt) + dt f, central differences,
-        # zero-gradient extrapolation at the domain edges
-        lo = -cfg.dt * (a / (2 * dx * dx) - b / (2 * dx))
-        di = 1.0 + cfg.dt * (a / (dx * dx) - V)
-        up = -cfg.dt * (a / (2 * dx * dx) + b / (2 * dx))
-        di[0] += lo[0]
-        di[-1] += up[-1]
-        ab = np.zeros((3, M))
-        ab[0, 1:] = up[:-1]
-        ab[1] = di
-        ab[2, :-1] = lo[1:]
-        w = solve_banded((1, 1), ab, w + cfg.dt * f)
-    return w
+    _check_flow(flow, mu, t, problem.horizon, "mu")
+    w_end = problem.terminal(mu.centers[:, None], flow.state_at(problem.horizon))
+    return solve_backward_kolmogorov(
+        w_end, flow, problem.coeffs, cfg, t, problem.horizon,
+        potential=problem.potential, source=problem.source,
+    )
 
 
 def fk_evaluate(
@@ -209,6 +190,10 @@ def pde_residual(
     derivative of s -> u(s, x, mu_s) along the nonlinear flow (forward
     second-order one-sided difference); the point term is central in x at
     the grid spacing on deterministic grid evaluations.
+
+    The central differences are deliberate: the grid backend is the
+    transposed upwind finite-volume step, and a probe that reused that
+    operator would only check the solver against itself.
     """
     flow = _flow_for(problem, t, mu, cfg)
     i = int(np.argmin(np.abs(mu.centers - x)))

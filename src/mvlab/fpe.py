@@ -10,6 +10,12 @@ coefficients see a stored flow instead of the evolving state.
 The scheme is flux-form with no-flux boundaries: differences of
 A = a*u for the diffusion term (conservative for porous-medium
 nonlinearities, where A = beta(u)) and upwinding for the transport term.
+
+This module is the only place that knows the discretization. Value
+functions of the frozen dynamics (the lifted kernel acting on test
+functions, Feynman-Kac terminal-value problems) are computed by the
+transposed frozen step, so forward densities and backward value functions
+are exact adjoints of each other on the grid.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ __all__ = [
     "NonlinearSolveError",
     "solve_nonlinear_fpe",
     "solve_frozen_fpe",
+    "solve_backward_kolmogorov",
     "fpe_weak_residual",
     "total_clipped_mass",
 ]
@@ -173,19 +180,24 @@ def _explicit_step(u, a, v, dx, dt):
     return out
 
 
-def _implicit_step(u_old, a, v, dx, dt):
-    M = u_old.shape[0]
+def _fv_band(a, v, dx, dt, transpose=False):
+    """A = I + dt/dx * (flux divergence), or its transpose, in ``solve_banded``
+    layout. The one assembly of the implicit FV operator: the forward step
+    solves A u_new = u_old, the backward Kolmogorov step solves with A^T.
+    Columns of A sum to 1 (mass conservation) and A is an M-matrix
+    (positivity)."""
     p, q = _interface_coeffs(a, v, dx)
     c = dt / dx
-    diag = np.ones(M)
-    diag[:-1] += c * p
-    diag[1:] -= c * q
-    upper = np.zeros(M)
-    upper[1:] = c * q  # solve_banded layout: upper[j] multiplies u_j in row j-1
-    lower = np.zeros(M)
-    lower[:-1] = -c * p
-    ab = np.vstack([upper, diag, lower])
-    return solve_banded((1, 1), ab, u_old)
+    upper, lower = c * q, -c * p  # A[i, i+1] and A[i+1, i] across interface i
+    if transpose:
+        upper, lower = lower, upper
+    ab = np.zeros((3, a.shape[0]))
+    ab[0, 1:] = upper
+    ab[1] = 1.0
+    ab[1, :-1] += c * p
+    ab[1, 1:] -= c * q
+    ab[2, :-1] = lower
+    return ab
 
 
 def _check_cfl(a, v, dx, dt, safety):
@@ -230,6 +242,19 @@ def _clip_and_log(u, log: ConservationLog) -> np.ndarray:
     return u
 
 
+def _time_steps(s: float, t_end: float, dt: float) -> list[tuple[float, float, float]]:
+    """The steps ``(t_k, h_k, t_{k+1})`` that cover [s, t_end]: t_k = s + k dt,
+    h_k = min(dt, t_end - t_k), and the last step ends at t_end exactly (it
+    is short when dt does not divide t_end - s). Forward and backward sweeps
+    both use this rule, so their steps coincide."""
+    n = max(int(round((t_end - s) / dt)), 0)
+    if abs(s + n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        n = int(np.ceil((t_end - s) / dt - 1e-12))
+    starts = [s + k * dt for k in range(n)]
+    ends = starts[1:] + [t_end]
+    return [(t, min(dt, t_end - t), t_next) for t, t_next in zip(starts, ends)]
+
+
 def _march(
     u0: GridDensity1D,
     s: float,
@@ -243,29 +268,26 @@ def _march(
     dx = u0.dx
     u = u0.values * dx  # work with cell masses; conservation is then telescoping
     mass0 = u.sum()
-    n_steps = max(int(round((t_end - s) / cfg.dt)), 0)
-    if abs(s + n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        n_steps = int(np.ceil((t_end - s) / cfg.dt - 1e-12))
+    steps = _time_steps(s, t_end, cfg.dt)
+    n_steps = len(steps)
     log = ConservationLog()
     times = [s]
     states = [u0]
-    t = s
-    for k in range(n_steps):
-        dt = min(cfg.dt, t_end - t)
+    for k, (t, dt, t_next) in enumerate(steps):
         view = _unchecked_grid(u0.x_min, dx, u / dx)
         a, v = fields_at(t, view)
         if cfg.scheme == "explicit":
             _check_cfl(a, v, dx, dt, cfg.cfl_safety)
             u_new = _explicit_step(u, a, v, dx, dt)
         else:
-            u_new = _implicit_step(u, a, v, dx, dt)
+            u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
             for it in range(cfg.max_picard):
                 a2, v2 = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
                 resid = u_new - u + dt / dx * _flux_divergence(u_new, a2, v2, dx)
                 log.picard_iterations_max = max(log.picard_iterations_max, it + 1)
                 if float(np.max(np.abs(resid))) <= cfg.picard_tol:
                     break
-                u_new = _implicit_step(u, a2, v2, dx, dt)
+                u_new = solve_banded((1, 1), _fv_band(a2, v2, dx, dt), u)
             else:
                 a2, v2 = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
                 resid = u_new - u + dt / dx * _flux_divergence(u_new, a2, v2, dx)
@@ -285,9 +307,8 @@ def _march(
                 f"undershoot {float(u_new.min()):.3e} below {CLIP_FLOOR:g} at t={t:g}"
             )
         u = _clip_and_log(u_new, log)
-        t = s + (k + 1) * cfg.dt if k + 1 < n_steps else t_end
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
-            times.append(t)
+            times.append(t_next)
             states.append(GridDensity1D(u0.x_min, dx, (u / u.sum()) / dx))
     path = DensityPath(np.asarray(times), states)
     path.log = log
@@ -323,6 +344,14 @@ def solve_nonlinear_fpe(
     return _march(u0, s, t_end, cfg, fields_at, record_every)
 
 
+def _check_flow(flow: DensityPath, grid: GridDensity1D, s: float, t_end: float, what: str) -> None:
+    if not flow.covers(s, t_end):
+        raise ValueError(f"flow covers [{flow.t_start}, {flow.t_end}], not [{s}, {t_end}]")
+    ref = flow.states[0]
+    if ref.n_cells != grid.n_cells or abs(ref.x_min - grid.x_min) > 1e-12 or abs(ref.dx - grid.dx) > 1e-15:
+        raise ValueError(f"{what} grid does not match the flow grid")
+
+
 def solve_frozen_fpe(
     nu0: GridDensity1D,
     flow: DensityPath,
@@ -335,12 +364,7 @@ def solve_frozen_fpe(
     """March the linear equation whose coefficients see the stored flow."""
     s = flow.t_start if s is None else s
     t_end = flow.t_end if t_end is None else t_end
-    if not flow.covers(s, t_end):
-        raise ValueError(f"flow covers [{flow.t_start}, {flow.t_end}], not [{s}, {t_end}]")
-    ref = flow.states[0]
-    if ref.n_cells != nu0.n_cells or abs(ref.x_min - nu0.x_min) > 1e-12 or abs(ref.dx - nu0.dx) > 1e-15:
-        raise ValueError("nu0 grid does not match the flow grid")
-
+    _check_flow(flow, nu0, s, t_end, "nu0")
     centers2d = nu0.centers[:, None]
 
     def fields_at(t, view):
@@ -348,6 +372,49 @@ def solve_frozen_fpe(
         return _eval_fields(coeffs_bar, t, centers2d, frozen, bar=True)
 
     return _march(nu0, s, t_end, cfg, fields_at, record_every)
+
+
+def solve_backward_kolmogorov(
+    w_end: np.ndarray,
+    flow: DensityPath,
+    coeffs_bar: CoefficientSet,
+    cfg: SolverConfig,
+    s: float,
+    t_end: float,
+    potential: Callable | None = None,
+    source: Callable | None = None,
+) -> np.ndarray:
+    """Solve the backward Kolmogorov equation of the frozen dynamics,
+
+        d_r w + 1/2 a w'' + v w' + V w + f = 0 on [s, t_end],  w(t_end) = w_end,
+
+    with a, v (and ``potential(r, X, mu)`` = V, ``source(r, X, mu)`` = f)
+    evaluated along ``flow``, and return w(s) on the flow's cell centers.
+
+    Each step is the transpose of the semi-implicit frozen step of
+    ``solve_frozen_fpe`` over the same time step (same step times, fields at
+    the step's right end), with -dt V on the diagonal and dt f on the right-hand
+    side. Without potential and source, <w(s), nu_s> = <w_end, nu_{t_end}> up
+    to roundoff for the frozen law nu started from any nu_s. The explicit
+    scheme has no transposed sweep here: ``cfg.scheme`` is not consulted.
+    """
+    grid = flow.states[0]
+    _check_flow(flow, grid, s, t_end, "flow")
+    w = np.array(w_end, dtype=float)
+    if w.shape != (grid.n_cells,):
+        raise ValueError(f"w_end has shape {w.shape}, the flow grid has {grid.n_cells} cells")
+    centers2d = grid.centers[:, None]
+    for t, dt, _ in reversed(_time_steps(s, t_end, cfg.dt)):
+        r = t + dt
+        mu_r = flow.state_at(r)
+        a, v = _eval_fields(coeffs_bar, r, centers2d, mu_r, bar=True)
+        ab = _fv_band(a, v, grid.dx, dt, transpose=True)
+        if potential is not None:
+            ab[1] -= dt * np.asarray(potential(r, centers2d, mu_r), dtype=float)
+        if source is not None:
+            w = w + dt * np.asarray(source(r, centers2d, mu_r), dtype=float)
+        w = solve_banded((1, 1), ab, w)
+    return w
 
 
 def fpe_weak_residual(

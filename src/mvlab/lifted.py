@@ -4,8 +4,10 @@ The mean-field flow mu_t together with its frozen linearization nu_t defines
 a two-parameter Markov kernel on R^d x P whose laws are product measures
 nu x delta_{mu}: the point coordinate follows the linearized dynamics driven
 by the measure coordinate, which moves deterministically along the nonlinear
-flow. This module evaluates that kernel with the grid PDE backend, applies
-the generator of the measure coordinate to cylindrical test functions, and
+flow. This module evaluates that kernel with the grid PDE backend (forward
+frozen FPE solves for laws, the transposed backward sweep of ``fpe`` for
+the kernel acting on a test function at many points at once), applies the
+generator of the measure coordinate to cylindrical test functions, and
 measures Chapman-Kolmogorov and Ito-type consistency residuals.
 """
 
@@ -16,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .fpe import DensityPath, SolverConfig, solve_frozen_fpe, solve_nonlinear_fpe
+from .fpe import (
+    DensityPath,
+    SolverConfig,
+    solve_backward_kolmogorov,
+    solve_frozen_fpe,
+    solve_nonlinear_fpe,
+)
 from .measures import CylindricalFunction, GridDensity1D, InnerTest
 
 __all__ = [
@@ -94,8 +102,10 @@ def apply_lifted_generator(
     G: LiftedTestFunction, coeffs: CoefficientSet, t: float, x, mu
 ) -> float:
     """Sum of the frozen point generator acting on g and the measure
-    generator acting on F, for G(x, mu) = g(x) F(mu)."""
+    generator acting on F, for G(x, mu) = g(x) F(mu), at a single point x."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape != (1, coeffs.d):
+        raise ValueError(f"x must be one point in R^{coeffs.d}, got shape {x.shape}")
     g = G.point_part
     b = np.asarray(coeffs.b_bar(t, x, mu), dtype=float)
     s = np.asarray(coeffs.sigma_bar(t, x, mu), dtype=float)
@@ -181,20 +191,26 @@ def chapman_kolmogorov_residual(
 ) -> float:
     """| P_{s,t} G(x, zeta) - int P_{r,t} G(y, mu_{s,r}) P_{s,r}(x, zeta; dy) |.
 
-    The intermediate point law is split into equal-mass quadrature nodes;
-    each node restarts the frozen flow at time r along the shared nonlinear
-    flow (the measure coordinate is deterministic, so its restart is exact).
+    The intermediate point law is split into equal-mass quadrature nodes.
+    P_{r,t} G at every node comes from one backward Kolmogorov sweep from t
+    to r along the shared nonlinear flow (the measure coordinate is
+    deterministic, so its restart is exact), read off at the nodes by linear
+    interpolation: that is <delta_on_grid(y), w>, the forward kernel from y
+    to roundoff. The sweep is the transposed semi-implicit step, so the
+    explicit scheme is rejected rather than mixed with it.
     """
     if not (s < r < t):
         raise ValueError("need s < r < t")
+    if cfg.scheme != "semi_implicit":
+        raise ValueError("the Chapman-Kolmogorov check needs the semi_implicit scheme")
     flow = solve_nonlinear_fpe(zeta, coeffs, s, t, cfg)
     direct = kernel_evaluate(G, coeffs, s, t, x, zeta, cfg, flow=flow)
 
     mid = kernel_law(coeffs, s, r, x, zeta, cfg, flow=flow)
     ys, ws = _stratified_nodes(mid.point_law, quad_points)
-    composed = 0.0
-    for y, w in zip(ys, ws):
-        composed += w * kernel_evaluate(G, coeffs, r, t, float(y), zeta, cfg, flow=flow)
+    g_t = _eval_pair(G, zeta.centers[:, None], flow.state_at(t))
+    w_r = solve_backward_kolmogorov(g_t, flow, coeffs, cfg, r, t)
+    composed = float(np.dot(ws, np.interp(ys, zeta.centers, w_r)))
     return abs(direct - composed)
 
 

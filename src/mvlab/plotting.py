@@ -7,6 +7,8 @@ metadata. Good enough for density profiles and decay curves.
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 __all__ = ["line_plot"]
@@ -73,7 +75,7 @@ def line_plot(
     if title:
         out.append(
             f'<text x="{_W // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
         )
     ax = (
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
@@ -102,13 +104,13 @@ def line_plot(
     if xlabel:
         out.append(
             f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+            f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>'
         )
     if ylabel:
         out.append(
             f'<text x="16" y="{_H // 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_H // 2})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {_H // 2})">{escape(ylabel)}</text>'
         )
     for k, (label, x, y) in enumerate(series):
         x = np.asarray(x, dtype=float)
@@ -129,7 +131,7 @@ def line_plot(
             )
             out.append(
                 f'<text x="{_W - _MR - 95}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
+                f'font-size="11">{escape(label)}</text>'
             )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

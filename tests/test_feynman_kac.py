@@ -10,7 +10,7 @@ from mvlab.feynman_kac import (
     l_derivative_fd,
     pde_residual,
 )
-from mvlab.fpe import SolverConfig
+from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import CylindricalFunction, EmpiricalMeasure, intrinsic_gradient
 from tests_helpers import gaussian_grid, square_test, tanh_test
 
@@ -133,3 +133,9 @@ class TestGridBackend:
         prob = FKProblem(cs, 0.5, terminal=lambda X, m: X[:, 0])
         with pytest.raises(ValueError, match="one-dimensional"):
             fk_evaluate_grid(prob, 0.0, mu, CFG)
+
+    def test_flow_on_other_grid_rejected(self, mu):
+        prob = FKProblem(heat_coefficients(1, 1.0), 0.01, terminal=lambda X, m: X[:, 0])
+        flow = solve_nonlinear_fpe(gaussian_grid(0.5), prob.coeffs, 0.0, 0.01, CFG)
+        with pytest.raises(ValueError, match="grid"):
+            fk_evaluate_grid(prob, 0.0, mu, CFG, flow=flow)

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
 from mvlab.fpe import (
     CFLError,
     DensityPath,
     SolverConfig,
+    _fv_band,
+    _time_steps,
     fpe_weak_residual,
+    solve_backward_kolmogorov,
     solve_frozen_fpe,
     solve_nonlinear_fpe,
 )
@@ -151,3 +157,50 @@ class TestPathContainer:
         g = gaussian(0.25)
         with pytest.raises(ValueError):
             DensityPath(np.array([0.0, 0.0]), [g, g])
+
+
+def _dense(ab):
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+@st.composite
+def fv_system(draw):
+    m = draw(st.integers(min_value=2, max_value=12))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=m, max_size=m)))
+
+    return (vec(0.01, 2.0), vec(-2.0, 2.0), draw(st.floats(0.02, 0.5)),
+            draw(st.floats(1e-4, 1e-2)), vec(0.0, 1.0), vec(0.0, 1.0))
+
+
+class TestFVOperator:
+    @settings(max_examples=80, deadline=None)
+    @given(fv_system())
+    def test_transposed_solve_is_adjoint(self, system):
+        a, v, dx, dt, u, g = system
+        ab = _fv_band(a, v, dx, dt)
+        forward = float(g @ solve_banded((1, 1), ab, u))
+        abt = _fv_band(a, v, dx, dt, transpose=True)
+        backward = float(solve_banded((1, 1), abt, g) @ u)
+        assert abs(forward - backward) <= 1e-12
+        A = _dense(ab)
+        assert np.array_equal(_dense(abt), A.T)
+        assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("s, t_end, n, last", [
+        (0.0, 1.0, 500, 2e-3), (0.4, 1.0, 300, 2e-3), (0.0, 0.5007, 251, 7e-4), (0.3, 0.3, 0, None),
+    ])
+    def test_time_steps_end_exactly(self, s, t_end, n, last):
+        steps = _time_steps(s, t_end, 2e-3)
+        assert len(steps) == n
+        if n:
+            assert steps[0][0] == s and steps[-1][2] == t_end
+            assert steps[-1][1] == pytest.approx(last, rel=1e-9)
+            assert all(a[2] == b[0] for a, b in zip(steps, steps[1:]))
+
+    def test_backward_sweep_checks_shape(self):
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        flow = solve_nonlinear_fpe(gaussian(0.25), cs, 0.0, 0.01, SolverConfig(dt=1e-3))
+        with pytest.raises(ValueError, match="cells"):
+            solve_backward_kolmogorov(np.ones(M - 1), flow, cs, SolverConfig(dt=1e-3), 0.0, 0.01)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
+from mvlab.feynman_kac import FKProblem, fk_evaluate_grid
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.lifted import (
     LiftedTestFunction,
@@ -69,6 +70,8 @@ class TestLiftedGenerator:
         point = 0.5 * (-np.cos(0.7)) + b * (-np.sin(0.7))
         expected = point * F.evaluate(mu) + np.cos(0.7) * apply_measure_generator(F, cs, 0.0, mu)
         assert apply_lifted_generator(G, cs, 0.0, x, mu) == pytest.approx(expected, rel=1e-10)
+        with pytest.raises(ValueError, match="one point"):
+            apply_lifted_generator(G, cs, 0.0, np.array([[0.7], [0.2]]), mu)
 
 
 class TestDeltaOnGrid:
@@ -124,6 +127,27 @@ class TestKernel:
             G, cs, 0.0, 0.4, 1.0, 0.5, zeta, SolverConfig(dt=2e-3), quad_points=64
         )
         assert resid < 5 * (2e-3 + 0.04**2)
+
+    @pytest.mark.parametrize("s, t", [(0.0, 0.5), (0.1, 0.4537)])
+    def test_backward_sweep_is_forward_kernel(self, s, t):
+        # t = 0.4537 is not a multiple of dt: both directions take the same short last step
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        zeta = gaussian_grid(0.25, 1.0, x_min=-8.0, dx=0.04, n=400)
+        cfg = SolverConfig(dt=2e-3)
+        G = LiftedTestFunction(cos_test(), linear_F(tanh_test()))
+        flow = solve_nonlinear_fpe(zeta, cs, s, t, cfg)
+        w = fk_evaluate_grid(FKProblem(cs, t, terminal=G.evaluate), s, zeta, cfg, flow=flow)
+        for y in (-0.83, 0.5, 1.37):
+            forward = kernel_evaluate(G, cs, s, t, y, zeta, cfg, flow=flow)
+            assert abs(np.interp(y, zeta.centers, w) - forward) <= 1e-13
+
+    def test_ck_rejects_explicit_scheme(self):
+        cs = heat_coefficients(1, 1.0)
+        with pytest.raises(ValueError, match="semi_implicit"):
+            chapman_kolmogorov_residual(
+                lambda y, m: y[:, 0], cs, 0.0, 0.5, 1.0, 0.0,
+                gaussian_grid(0.5), SolverConfig(dt=1e-3, scheme="explicit"),
+            )
 
     def test_ck_requires_ordered_times(self):
         cs = heat_coefficients(1, 1.0)

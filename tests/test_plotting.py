@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,11 @@ def test_logy_needs_positive_values(tmp_path):
     with pytest.raises(ValueError):
         line_plot([("s", np.array([0.0, 1.0]), np.array([-1.0, -2.0]))],
                   str(tmp_path / "a.svg"), logy=True)
+
+
+def test_text_is_xml_escaped(tmp_path):
+    f = str(tmp_path / "a.svg")
+    x = np.linspace(0, 1, 5)
+    line_plot([("a<b & c", x, x)], f, title="a<b & c", xlabel="a<b & c", ylabel="a<b & c")
+    texts = [el.text for el in ET.parse(f).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert texts.count("a<b & c") == 4
