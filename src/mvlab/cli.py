@@ -318,8 +318,9 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         N = num["n_particles"]
         x0mu = rng.normal(init.get("mean", 4.0), np.sqrt(init.get("var", 0.25)), (N, 1))
         x0nu = rng.normal(init_f.get("mean", -3.0), np.sqrt(init_f.get("var", 1.0)), (N, 1))
-        cps = np.linspace(0.0, num["horizon"], num["checkpoints"])
-        rec = max(int(round(cps[1] / num["dt"])), 1) if len(cps) > 1 else 1
+        # checkpoints about horizon / (checkpoints - 1) apart, on the record grid
+        rec = max(int(round(num["horizon"] / max(num["checkpoints"] - 1, 1) / num["dt"])), 1)
+        cps = np.arange(num["checkpoints"]) * rec * num["dt"]
         report = decay_study(
             coeffs, extra, x0mu, x0nu,
             SimConfig(dt=num["dt"], seed=seed, record_every=rec),

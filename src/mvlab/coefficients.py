@@ -43,8 +43,6 @@ class CoefficientSet:
     b_bar: Callable
     sigma_bar: Callable
     d: int = 1
-    m: int = 1
-    time_homogeneous: bool = True
 
     def diffusion_matrix(self, t, X, mu, bar: bool = False) -> np.ndarray:
         """sigma sigma^T at each point, shape (N, d, d)."""
@@ -145,7 +143,7 @@ def nldbm_coefficients(p: NLDBMParams, d: int = 1) -> CoefficientSet:
         u = density_at(mu, X[:, 0]) if d == 1 else density_at(mu, X)
         return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), d, d)
 
-    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d, m=d)
+    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d)
 
 
 def meanfield_ou_coefficients(
@@ -176,7 +174,7 @@ def meanfield_ou_coefficients(
         lam_bar=2 * lambda0 - kappa0,
         kappa_bar=kappa0,
     )
-    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d, m=d), consts
+    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d), consts
 
 
 def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
@@ -189,7 +187,7 @@ def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
         X = np.atleast_2d(X)
         return _isotropic_sigma(np.full(X.shape[0], np.sqrt(diffusion)), d, d)
 
-    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d, m=d)
+    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d)
 
 
 # ---------------------------------------------------------------------------

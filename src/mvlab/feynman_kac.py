@@ -32,6 +32,7 @@ from .fpe import (
     DensityPath,
     SolverConfig,
     _check_flow,
+    _time_steps,
     solve_backward_kolmogorov,
     solve_nonlinear_fpe,
 )
@@ -84,28 +85,28 @@ def fk_evaluate_mc(
     flow: DensityPath | None = None,
 ) -> FKEstimate:
     """Monte Carlo evaluation: n_particles independent copies of the frozen
-    process from x, potential and source accumulated by left-point rule."""
+    process from x, stepped over [t, horizon] by ``fpe._time_steps`` (the
+    last step is short when dt does not divide the horizon), potential and
+    source accumulated by left-point rule. A flow that does not cover
+    [t, horizon] raises ``ValueError``."""
     if flow is None:
         flow = _flow_for(problem, t, mu, cfg)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = problem.coeffs.d
     X = np.tile(x.reshape(1, d), (n_particles, 1))
-    n_steps = int(round((problem.horizon - t) / cfg.dt))
-    bank = _NoiseBank(seed, np.arange(n_particles, dtype=np.int64), d, min(256, max(n_steps, 1)))
-    sqdt = np.sqrt(cfg.dt)
+    steps = _time_steps(t, problem.horizon, cfg.dt)
+    bank = _NoiseBank(seed, np.arange(n_particles, dtype=np.int64), d, len(steps))
     weight = np.ones(n_particles)
     accum = np.zeros(n_particles)
-    r = t
-    for _ in range(n_steps):
+    for r, h, _ in steps:
         mu_r = flow.state_at(r)
         if problem.source is not None:
-            accum += weight * np.asarray(problem.source(r, X, mu_r), dtype=float) * cfg.dt
+            accum += weight * np.asarray(problem.source(r, X, mu_r), dtype=float) * h
         if problem.potential is not None:
-            weight *= np.exp(np.asarray(problem.potential(r, X, mu_r), dtype=float) * cfg.dt)
+            weight *= np.exp(np.asarray(problem.potential(r, X, mu_r), dtype=float) * h)
         b = np.asarray(problem.coeffs.b_bar(r, X, mu_r), dtype=float)
         s = np.asarray(problem.coeffs.sigma_bar(r, X, mu_r), dtype=float)
-        X = X + b * cfg.dt + np.einsum("nij,nj->ni", s, bank.draw()) * sqdt
-        r += cfg.dt
+        X = X + b * h + np.einsum("nij,nj->ni", s, bank.draw()) * np.sqrt(h)
     samples = accum + weight * np.asarray(
         problem.terminal(X, flow.state_at(problem.horizon)), dtype=float
     )

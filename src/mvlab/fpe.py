@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MASS_STEP_TOL = 1e-12
+SPAN_SLACK = 1e-9  # how far a read may lie outside a recorded span
 CLIP_FLOOR = -1e-13
 CLIP_BUDGET = 1e-6
 
@@ -83,7 +84,6 @@ class SolverConfig:
     dt: float
     scheme: str = "semi_implicit"  # or "explicit"
     cfl_safety: float = 0.9
-    boundary: str = "no_flux"
     max_picard: int = 20
     picard_tol: float = 1e-10
 
@@ -94,8 +94,6 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.boundary != "no_flux":
-            raise ValueError("only no_flux boundaries are supported")
 
 
 @dataclass
@@ -122,13 +120,12 @@ class DensityPath:
         return float(self.times[-1])
 
     def state_at(self, t: float, tol: float | None = None) -> GridDensity1D:
-        """State at the recorded time nearest to t."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if tol is not None and abs(self.times[i] - t) > tol:
-            raise ValueError(f"no recorded state within {tol} of t={t}")
-        return self.states[i]
+        """State at the recorded time nearest to t; ``ValueError`` if t lies
+        outside the recorded span or, with ``tol``, farther than tol from
+        every record (see ``_record_index``)."""
+        return self.states[_record_index(self.times, t, tol)]
 
-    def covers(self, s: float, t: float, slack: float = 1e-9) -> bool:
+    def covers(self, s: float, t: float, slack: float = SPAN_SLACK) -> bool:
         return self.t_start <= s + slack and t <= self.t_end + slack
 
     def to_csv(self) -> str:
@@ -243,16 +240,36 @@ def _clip_and_log(u, log: ConservationLog) -> np.ndarray:
 
 
 def _time_steps(s: float, t_end: float, dt: float) -> list[tuple[float, float, float]]:
-    """The steps ``(t_k, h_k, t_{k+1})`` that cover [s, t_end]: t_k = s + k dt,
-    h_k = min(dt, t_end - t_k), and the last step ends at t_end exactly (it
-    is short when dt does not divide t_end - s). Forward and backward sweeps
-    both use this rule, so their steps coincide."""
+    """The steps ``(t_k, h_k, t_{k+1})`` that cover [s, t_end], t_k = s + k dt.
+    Every step is exactly dt except a last step that is genuinely short
+    (dt does not divide t_end - s up to a relative 1e-9), which has
+    h = t_end - t_k; the last step ends at t_end exactly. This is the one
+    rule from (s, t_end, dt) to steps: the FPE march, the backward sweep,
+    the particle simulator and the Feynman-Kac Monte Carlo backend all step
+    by it, so their steps coincide."""
     n = max(int(round((t_end - s) / dt)), 0)
-    if abs(s + n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        n = int(np.ceil((t_end - s) / dt - 1e-12))
+    full = abs(s + n * dt - t_end) <= 1e-9 * max(1.0, abs(t_end))
+    if not full:
+        n = max(int(np.ceil((t_end - s) / dt - 1e-12)), 0)
     starts = [s + k * dt for k in range(n)]
     ends = starts[1:] + [t_end]
-    return [(t, min(dt, t_end - t), t_next) for t, t_next in zip(starts, ends)]
+    sizes = [dt] * n
+    if n and not full:
+        sizes[-1] = t_end - starts[-1]
+    return list(zip(starts, sizes, ends))
+
+
+def _record_index(times: np.ndarray, t: float, tol: float | None = None) -> int:
+    """Index of the recorded time nearest to t, the one lookup of a recorded
+    flow. Raises ``ValueError`` when t lies outside [times[0], times[-1]] by
+    more than ``SPAN_SLACK``, and, when ``tol`` is given, when the nearest
+    record is farther than tol from t."""
+    if not times[0] - SPAN_SLACK <= t <= times[-1] + SPAN_SLACK:
+        raise ValueError(f"t={t} lies outside the recorded span [{times[0]}, {times[-1]}]")
+    i = int(np.argmin(np.abs(times - t)))
+    if tol is not None and abs(times[i] - t) > tol:
+        raise ValueError(f"no record within {tol} of t={t}")
+    return i
 
 
 def _march(

@@ -360,26 +360,24 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def _monotone_merge(ws: np.ndarray, vs: np.ndarray):
+    """Monotone coupling of two sorted weight vectors: merge the cumulative
+    weights and return, per merged piece, the atom index on each side and the
+    piece's mass. Pieces are (c_{k-1}, c_k] for the union c of both cumsums."""
+    cw, cv = np.cumsum(ws), np.cumsum(vs)
+    c = np.union1d(cw, cv)
+    i = np.minimum(np.searchsorted(cw, c), len(ws) - 1)
+    j = np.minimum(np.searchsorted(cv, c), len(vs) - 1)
+    return i, j, np.diff(c, prepend=0.0)
+
+
 def quantile_coupling_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportPlan:
     """Monotone (quantile) coupling of two 1-D clouds; optimal for W_2."""
-    xs, ws = mu.sorted_1d()
-    ys, vs = nu.sorted_1d()
     order_x = np.argsort(mu.points[:, 0], kind="stable")
     order_y = np.argsort(nu.points[:, 0], kind="stable")
+    i, j, m = _monotone_merge(mu.weights[order_x], nu.weights[order_y])
     plan = np.zeros((mu.n_atoms, nu.n_atoms))
-    i = j = 0
-    wi, vj = ws[0], vs[0]
-    while i < len(ws) and j < len(vs):
-        m = min(wi, vj)
-        plan[order_x[i], order_y[j]] += m
-        wi -= m
-        vj -= m
-        if wi <= 1e-16:
-            i += 1
-            wi = ws[i] if i < len(ws) else 0.0
-        if vj <= 1e-16:
-            j += 1
-            vj = vs[j] if j < len(vs) else 0.0
+    np.add.at(plan, (order_x[i], order_y[j]), m)
     return TransportPlan(mu, nu, plan)
 
 
@@ -457,28 +455,11 @@ def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "exac
             raise ValueError("exact1d requires dim == 1")
         xs, ws = mu.sorted_1d()
         ys, vs = nu.sorted_1d()
-        return float(np.sqrt(_quantile_cost_sorted(xs, ws, ys, vs)))
+        i, j, m = _monotone_merge(ws, vs)
+        return float(np.sqrt(np.dot(m, (xs[i] - ys[j]) ** 2)))
     if method == "sinkhorn":
         return float(np.sqrt(sinkhorn_plan(mu, nu, **kw).cost()))
     raise ValueError(f"unknown method {method!r}")
-
-
-def _quantile_cost_sorted(xs, ws, ys, vs) -> float:
-    cost = 0.0
-    i = j = 0
-    wi, vj = ws[0], vs[0]
-    while i < len(ws) and j < len(vs):
-        m = min(wi, vj)
-        cost += m * (xs[i] - ys[j]) ** 2
-        wi -= m
-        vj -= m
-        if wi <= 1e-16:
-            i += 1
-            wi = ws[i] if i < len(ws) else 0.0
-        if vj <= 1e-16:
-            j += 1
-            vj = vs[j] if j < len(vs) else 0.0
-    return cost
 
 
 def w2_to_quantile(mu, quantile: Callable[[np.ndarray], np.ndarray], n_grid: int = 20_000) -> float:

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .coefficients import CoefficientSet
+from .fpe import _record_index, _time_steps
 from .measures import EmpiricalMeasure, GridDensity1D, kde_density, silverman_bandwidth
 
 __all__ = [
@@ -52,15 +53,12 @@ class SimConfig:
     seed: int
     record_every: int = 1
     kde: KDESpec | None = None
-    noise_block: int = 256  # steps of normals buffered per particle batch
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.noise_block < 1:
-            raise ValueError("noise_block must be >= 1")
 
 
 def _sorted_cloud(X: np.ndarray) -> np.ndarray:
@@ -116,10 +114,10 @@ class PathEnsemble:
         return _law(self.positions[i], self.kde)
 
     def marginal_at(self, t: float, tol: float | None = None) -> EmpiricalMeasure:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if tol is not None and abs(self.times[i] - t) > tol:
-            raise ValueError(f"no recorded marginal within {tol} of t={t}")
-        return self.marginal(i)
+        """Empirical law at the recorded time nearest to t; ``ValueError`` if
+        t lies outside the recorded span or, with ``tol``, farther than tol
+        from every record (see ``fpe._record_index``)."""
+        return self.marginal(_record_index(self.times, t, tol))
 
     def save(self, path: str) -> None:
         np.savez_compressed(
@@ -143,15 +141,17 @@ class PathEnsemble:
 
 
 class _NoiseBank:
-    """Buffers standard normals per particle from independent Philox streams."""
+    """Buffers standard normals per particle from independent Philox streams,
+    at most 256 steps at a time. The draws do not depend on the buffer size;
+    the cap bounds memory for large clouds."""
 
-    def __init__(self, seed: int, stream_indices: np.ndarray, d: int, block: int):
+    def __init__(self, seed: int, stream_indices: np.ndarray, d: int, n_steps: int):
         self._gens = [
             np.random.Generator(np.random.Philox(key=[seed, int(ix)]))
             for ix in stream_indices
         ]
         self._d = d
-        self._block = block
+        self._block = min(256, n_steps)
         self._buf = None
         self._pos = 0
 
@@ -185,21 +185,15 @@ def _simulate(
     if stream_indices.shape != (N,) or len(np.unique(stream_indices)) != N:
         raise ValueError("stream_indices must be N distinct integers")
 
-    n_steps = int(round((t_end - s) / cfg.dt))
-    if abs(s + n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end - s must be an integer multiple of dt")
-
-    bank = _NoiseBank(cfg.seed, stream_indices, d, cfg.noise_block)
-    sqdt = np.sqrt(cfg.dt)
+    steps = _time_steps(s, t_end, cfg.dt)
+    bank = _NoiseBank(cfg.seed, stream_indices, d, len(steps))
     times = [s]
     records = [X.copy()]
-    for k in range(n_steps):
-        t = s + k * cfg.dt
+    for k, (t, h, t_next) in enumerate(steps):
         b, sig = drift_diffusion(t, X)
-        xi = bank.draw()
-        X = X + b * cfg.dt + np.einsum("nij,nj->ni", sig, xi) * sqdt
-        if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
-            times.append(s + (k + 1) * cfg.dt)
+        X = X + b * h + np.einsum("nij,nj->ni", sig, bank.draw()) * np.sqrt(h)
+        if (k + 1) % cfg.record_every == 0 or k + 1 == len(steps):
+            times.append(t_next)
             records.append(X.copy())
     return PathEnsemble(
         times=np.asarray(times),
@@ -242,7 +236,9 @@ def simulate_frozen(
     """Linear dynamics whose coefficients see a stored measure flow.
 
     ``flow`` may be a grid-density path (``state_at``), a particle ensemble
-    (``marginal_at``), or a callable t -> measure.
+    (``marginal_at``), or a callable t -> measure. Each step reads the
+    recorded law nearest to the step's start time; a recorded flow that does
+    not cover [s, t_end] raises ``ValueError`` at the first step outside it.
     """
     if callable(flow) and not hasattr(flow, "state_at") and not hasattr(flow, "marginal_at"):
         flow_at = flow

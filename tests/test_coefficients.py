@@ -146,7 +146,6 @@ class TestHypothesisValidation:
             b_bar=cs.b_bar,
             sigma_bar=cs.sigma_bar,
             d=1,
-            m=1,
         )
         rep = validate_hypotheses((bad, consts), n_samples=500, rng=np.random.default_rng(3))
         assert not rep.passed

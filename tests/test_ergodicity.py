@@ -95,3 +95,13 @@ class TestDecayStudy:
         assert rep.rate_fitted > 0.8 * rep.rate_predicted
         d = rep.to_dict()
         assert len(d["times"]) == 11
+
+    def test_off_grid_checkpoint_rejected(self):
+        cs, mono = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(0.0, 1.0, (200, 1))
+        q = lambda p: norm.ppf(p, scale=np.sqrt(0.5))
+        # records every 0.05; 0.07 is 0.02 from the nearest one
+        with pytest.raises(ValueError, match="no record"):
+            decay_study(cs, mono, x0, x0, SimConfig(dt=1e-2, seed=4, record_every=5),
+                        np.array([0.0, 0.05, 0.07, 0.1]), q, q, n_boot=2)

@@ -59,6 +59,21 @@ class TestOracles:
         val = fk_evaluate(prob, 0.0, 0.5, mu, CFG, backend="grid").value
         assert val == pytest.approx(mu.mean()[0] * np.exp(-0.5), abs=5e-3)
 
+    def test_mc_covers_horizon_off_the_step_grid(self, mu):
+        # dt = 0.1 does not divide T = 0.34: the last step is 0.04 long
+        prob = FKProblem(heat_coefficients(1, 1.0), 0.34, terminal=lambda X, m: X[:, 0] ** 2)
+        mc = fk_evaluate(prob, 0.0, 0.7, mu, SolverConfig(dt=0.1), backend="mc",
+                         n_particles=200_000, seed=1)
+        assert abs(mc.value - (0.7**2 + 0.34)) < 3 * mc.stderr
+
+    def test_mc_rejects_flow_that_ends_early(self, mu):
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        short = solve_nonlinear_fpe(mu, cs, 0.0, 0.2, SolverConfig(dt=1e-2))
+        prob = FKProblem(cs, 1.0, terminal=lambda X, m: X[:, 0])
+        with pytest.raises(ValueError, match="span"):
+            fk_evaluate(prob, 0.0, 0.5, mu, SolverConfig(dt=1e-2), backend="mc",
+                        n_particles=100, seed=0, flow=short)
+
     def test_constant_source_accumulates(self, mu):
         cs = heat_coefficients(1, 1.0)
         prob = FKProblem(cs, 1.0, terminal=lambda X, m: np.zeros(X.shape[0]),

@@ -190,6 +190,7 @@ class TestFVOperator:
 
     @pytest.mark.parametrize("s, t_end, n, last", [
         (0.0, 1.0, 500, 2e-3), (0.4, 1.0, 300, 2e-3), (0.0, 0.5007, 251, 7e-4), (0.3, 0.3, 0, None),
+        (0.0, 0.42 * 9, 1890, 2e-3),
     ])
     def test_time_steps_end_exactly(self, s, t_end, n, last):
         steps = _time_steps(s, t_end, 2e-3)
@@ -198,6 +199,9 @@ class TestFVOperator:
             assert steps[0][0] == s and steps[-1][2] == t_end
             assert steps[-1][1] == pytest.approx(last, rel=1e-9)
             assert all(a[2] == b[0] for a, b in zip(steps, steps[1:]))
+            # full steps are dt exactly; only a genuinely short last step is not
+            full = steps if last == 2e-3 else steps[:-1]
+            assert all(h == 2e-3 for _, h, _ in full)
 
     def test_backward_sweep_checks_shape(self):
         cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)

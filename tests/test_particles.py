@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
+from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import MeasureViewError
 from mvlab.particles import (
     KDESpec,
@@ -10,6 +11,7 @@ from mvlab.particles import (
     simulate_frozen,
     simulate_mckean_vlasov,
 )
+from tests_helpers import gaussian_grid
 
 
 @pytest.fixture(scope="module")
@@ -107,10 +109,23 @@ class TestFrozen:
 
 
 class TestValidation:
-    def test_horizon_must_be_multiple_of_dt(self, ou):
-        with pytest.raises(ValueError, match="multiple"):
-            simulate_mckean_vlasov(initial_cloud(10), ou, 0.0, 0.0505,
-                                   SimConfig(dt=1e-3, seed=0))
+    def test_horizon_off_the_step_grid_takes_short_last_step(self):
+        cs = heat_coefficients(1, 1.0)
+        x0 = np.zeros((5, 1))
+        cfg = SimConfig(dt=1e-3, seed=0)
+        short = simulate_mckean_vlasov(x0, cs, 0.0, 0.0505, cfg)
+        full = simulate_mckean_vlasov(x0, cs, 0.0, 0.051, cfg)
+        assert short.times[-1] == 0.0505
+        # same normal, step sqrt(h): the half step moves sqrt(1/2) as far
+        half = short.positions[-1] - short.positions[-2]
+        whole = full.positions[-1] - full.positions[-2]
+        assert np.abs(half - np.sqrt(0.5) * whole).max() <= 1e-15
+
+    def test_flow_must_cover_horizon(self, ou):
+        flow = solve_nonlinear_fpe(gaussian_grid(0.25), ou, 0.0, 0.2, SolverConfig(dt=1e-2))
+        with pytest.raises(ValueError, match="span"):
+            simulate_frozen(initial_cloud(10), flow, ou, 0.0, 1.0,
+                            SimConfig(dt=1e-2, seed=0))
 
     def test_stream_indices_must_be_distinct(self, ou):
         with pytest.raises(ValueError, match="distinct"):
