@@ -22,8 +22,6 @@ import scipy
 
 from . import __version__
 from .coefficients import (
-    NLDBMParams,
-    canonical_confining_potential,
     heat_coefficients,
     meanfield_ou_coefficients,
     nldbm_coefficients,
@@ -37,7 +35,6 @@ from .measures import (
     CylindricalFunction,
     FLOAT_FMT,
     GridDensity1D,
-    InnerTest,
     grid_to_measure,
     intrinsic_gradient,
     sample_density,
@@ -45,6 +42,7 @@ from .measures import (
 )
 from .particles import KDESpec, SimConfig, simulate_mckean_vlasov
 from .plotting import line_plot
+from .presets import arctan_params, cos_test, gaussian_grid, tanh_test
 
 EXPERIMENTS = (
     "simulate-mkv",
@@ -162,19 +160,7 @@ def build_coefficients(fam: dict):
             fam.get("lambda0", 1.0), fam.get("kappa0", 0.5), fam.get("sigma0", 1.0)
         )
         return cs, consts
-    Phi, gradPhi = canonical_confining_potential(fam.get("C", 1.0), fam.get("alpha", 0.5))
-    p = NLDBMParams(
-        beta=lambda r: 2 * r + np.arctan(r),
-        beta_prime=lambda r: 2 + 1 / (1 + r**2),
-        gamma=2.0,
-        gamma1=3.0,
-        b_scalar=lambda r: 1 / (1 + r**2),
-        b_scalar_prime=lambda r: -2 * r / (1 + r**2) ** 2,
-        Phi=Phi,
-        gradPhi=gradPhi,
-        C=fam.get("C", 1.0),
-        alpha=fam.get("alpha", 0.5),
-    )
+    p = arctan_params(fam.get("C", 1.0), fam.get("alpha", 0.5))
     return nldbm_coefficients(p), p
 
 
@@ -191,11 +177,7 @@ def _numerics(cfg: dict) -> dict:
 
 def _initial_grid(spec: dict | None, x_min: float, dx: float, M: int) -> GridDensity1D:
     spec = spec or {"kind": "gaussian", "mean": 0.0, "var": 0.25}
-    m = spec.get("mean", 0.0)
-    v = spec.get("var", 0.25)
-    xs = x_min + dx * (np.arange(M) + 0.5)
-    vals = np.exp(-((xs - m) ** 2) / (2 * v))
-    return GridDensity1D(x_min, dx, vals / (vals.sum() * dx))
+    return gaussian_grid(spec.get("var", 0.25), spec.get("mean", 0.0), x_min, dx, M)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -209,20 +191,6 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
             fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
-
-
-def _test_functions():
-    h = InnerTest(
-        lambda X: np.tanh(X[:, 0]),
-        lambda X: (1 - np.tanh(X[:, 0]) ** 2)[:, None],
-        lambda X: (-2 * np.tanh(X[:, 0]) * (1 - np.tanh(X[:, 0]) ** 2))[:, None, None],
-    )
-    g = InnerTest(
-        lambda X: np.cos(X[:, 0]),
-        lambda X: (-np.sin(X[:, 0]))[:, None],
-        lambda X: (-np.cos(X[:, 0]))[:, None, None],
-    )
-    return h, g
 
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
@@ -289,7 +257,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                   xlabel="t", ylabel="distance")
 
     elif experiment == "check-ck":
-        h, g = _test_functions()
+        h, g = tanh_test(), cos_test()
         G = LiftedTestFunction(g, CylindricalFunction.linear(h.h, h.grad, h.hess))
         zeta = _initial_grid(cfg.get("initial"), x_min, dx, M)
         r = num["split_time"] if num["split_time"] > 0 else num["horizon"] / 2
@@ -367,7 +335,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     elif experiment == "gradient-check":
         from .feynman_kac import l_derivative_fd
 
-        h, g = _test_functions()
+        h, g = tanh_test(), cos_test()
         F = CylindricalFunction(
             inner=(h, g),
             outer=lambda rv: float(np.sin(rv[0]) + rv[0] * rv[1]),

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, density_at, wasserstein2
+from .measures import EmpiricalMeasure, density_at
 
 __all__ = [
     "CoefficientSet",
@@ -36,13 +36,18 @@ _DENSITY_FLOOR = 1e-30
 @dataclass(frozen=True)
 class CoefficientSet:
     """The four coefficient fields (b, sigma) of the nonlinear equation and
-    (b_bar, sigma_bar) of its frozen companion, plus dimensions."""
+    (b_bar, sigma_bar) of its frozen companion, plus dimensions. The frozen
+    fields default to the nonlinear ones."""
 
     b: Callable
     sigma: Callable
-    b_bar: Callable
-    sigma_bar: Callable
+    b_bar: Callable | None = None
+    sigma_bar: Callable | None = None
     d: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "b_bar", self.b_bar or self.b)
+        object.__setattr__(self, "sigma_bar", self.sigma_bar or self.sigma)
 
     def diffusion_matrix(self, t, X, mu, bar: bool = False) -> np.ndarray:
         """sigma sigma^T at each point, shape (N, d, d)."""
@@ -143,7 +148,7 @@ def nldbm_coefficients(p: NLDBMParams, d: int = 1) -> CoefficientSet:
         u = density_at(mu, X[:, 0]) if d == 1 else density_at(mu, X)
         return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), d, d)
 
-    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d)
+    return CoefficientSet(b=b, sigma=sigma, d=d)
 
 
 def meanfield_ou_coefficients(
@@ -174,7 +179,7 @@ def meanfield_ou_coefficients(
         lam_bar=2 * lambda0 - kappa0,
         kappa_bar=kappa0,
     )
-    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d), consts
+    return CoefficientSet(b=b, sigma=sigma, d=d), consts
 
 
 def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
@@ -187,7 +192,7 @@ def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
         X = np.atleast_2d(X)
         return _isotropic_sigma(np.full(X.shape[0], np.sqrt(diffusion)), d, d)
 
-    return CoefficientSet(b=b, sigma=sigma, b_bar=b, sigma_bar=sigma, d=d)
+    return CoefficientSet(b=b, sigma=sigma, d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .coefficients import CoefficientSet, MonotonicityConstants
 from .fpe import SolverConfig, solve_nonlinear_fpe
 from .measures import EmpiricalMeasure, GridDensity1D, w2_to_quantile
-from .particles import PathEnsemble, SimConfig, simulate_frozen, simulate_mckean_vlasov
+from .particles import SimConfig, simulate_frozen, simulate_mckean_vlasov
 
 __all__ = [
     "ErgodicityReport",
@@ -113,16 +113,7 @@ class ErgodicityReport:
         return bool(np.all(self.observed_sq() <= self.envelope_sq + n_sigma * self.stat_error_sq()))
 
     def to_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "w2_mu": self.w2_mu.tolist(),
-            "w2_nu": self.w2_nu.tolist(),
-            "stderr_mu": self.stderr_mu.tolist(),
-            "stderr_nu": self.stderr_nu.tolist(),
-            "envelope_sq": self.envelope_sq.tolist(),
-            "rate_fitted": self.rate_fitted,
-            "rate_predicted": self.rate_predicted,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
 def _bootstrap_w2(points: np.ndarray, qfun, n_boot: int, rng: np.random.Generator) -> float:

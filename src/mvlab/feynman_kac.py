@@ -36,7 +36,7 @@ from .fpe import (
     solve_backward_kolmogorov,
     solve_nonlinear_fpe,
 )
-from .measures import CylindricalFunction, GridDensity1D, pushforward
+from .measures import GridDensity1D, pushforward
 from .particles import _NoiseBank
 
 __all__ = [

@@ -20,8 +20,8 @@ are exact adjoints of each other on the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -71,12 +71,7 @@ class ConservationLog:
     picard_iterations_max: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "max_mass_drift": self.max_mass_drift,
-            "clipped_mass": self.clipped_mass,
-            "worst_undershoot": self.worst_undershoot,
-            "picard_iterations_max": self.picard_iterations_max,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -279,9 +274,14 @@ def _march(
     cfg: SolverConfig,
     fields_at: Callable,
     record_every: int = 1,
+    linear: bool = False,
 ) -> DensityPath:
     """Shared time loop; ``fields_at(t, u_view) -> (a, v)`` supplies the
-    per-step diffusion and drift fields on cell centers."""
+    per-step diffusion and drift fields on cell centers. With ``linear`` the
+    fields do not depend on u (the view is ``None``), so the semi-implicit
+    step evaluates them once, at the step's right end, and solves once: the
+    fixed point that Picard iteration would reach, and the step
+    ``solve_backward_kolmogorov`` transposes."""
     dx = u0.dx
     u = u0.values * dx  # work with cell masses; conservation is then telescoping
     mass0 = u.sum()
@@ -291,12 +291,15 @@ def _march(
     times = [s]
     states = [u0]
     for k, (t, dt, t_next) in enumerate(steps):
-        view = _unchecked_grid(u0.x_min, dx, u / dx)
-        a, v = fields_at(t, view)
         if cfg.scheme == "explicit":
+            a, v = fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx))
             _check_cfl(a, v, dx, dt, cfg.cfl_safety)
             u_new = _explicit_step(u, a, v, dx, dt)
+        elif linear:
+            a, v = fields_at(t + dt, None)
+            u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
         else:
+            a, v = fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx))
             u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
             for it in range(cfg.max_picard):
                 a2, v2 = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
@@ -388,7 +391,7 @@ def solve_frozen_fpe(
         frozen = flow.state_at(t)
         return _eval_fields(coeffs_bar, t, centers2d, frozen, bar=True)
 
-    return _march(nu0, s, t_end, cfg, fields_at, record_every)
+    return _march(nu0, s, t_end, cfg, fields_at, record_every, linear=True)
 
 
 def solve_backward_kolmogorov(

@@ -5,22 +5,24 @@ system; density-dependent (Nemytskii) coefficients additionally see a binned
 kernel-density view on a fixed grid.
 
 Reproducibility contract: each particle draws from its own counter-based
-stream (Philox keyed by (seed, stream index)), and every reduction over the
-cloud that feeds back into the dynamics is computed on the lexicographically
-sorted cloud. Permuting particles together with their stream indices
-therefore yields bitwise-identical empirical laws.
+stream (Philox keyed by (seed, stream index)), and a cloud is held in one
+canonical order, increasing stream index: the simulator reorders the initial
+positions by their stream indices once, then steps, reduces and records the
+cloud in that order. Permuting particles together with their stream indices
+therefore yields the same cloud row for row, and bitwise-identical empirical
+laws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .coefficients import CoefficientSet
 from .fpe import _record_index, _time_steps
-from .measures import EmpiricalMeasure, GridDensity1D, kde_density, silverman_bandwidth
+from .measures import EmpiricalMeasure, kde_density, silverman_bandwidth
 
 __all__ = [
     "KDESpec",
@@ -61,13 +63,8 @@ class SimConfig:
             raise ValueError("record_every must be >= 1")
 
 
-def _sorted_cloud(X: np.ndarray) -> np.ndarray:
-    order = np.lexsort(X.T[::-1])
-    return X[order]
-
-
 def _law(X: np.ndarray, kde: KDESpec | None) -> EmpiricalMeasure:
-    mu = EmpiricalMeasure.from_atoms(_sorted_cloud(X))
+    mu = EmpiricalMeasure.from_atoms(X)
     if kde is not None:
         bw = kde.resolve_bandwidth(mu)
         mu = mu.with_density(
@@ -78,7 +75,9 @@ def _law(X: np.ndarray, kde: KDESpec | None) -> EmpiricalMeasure:
 
 @dataclass
 class PathEnsemble:
-    """Recorded particle positions at increasing times."""
+    """Recorded particle positions at increasing times. Rows of ``positions``
+    follow the increasing ``stream_indices``: the caller's order for the
+    default ``arange``."""
 
     times: np.ndarray
     positions: np.ndarray  # (n_records, n_particles, d)
@@ -175,7 +174,7 @@ def _simulate(
     drift_diffusion: Callable,
     stream_indices: np.ndarray | None,
 ) -> PathEnsemble:
-    X = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
+    X = np.atleast_2d(np.asarray(x0, dtype=float))
     if X.ndim != 2:
         raise ValueError("x0 must have shape (N, d)")
     N, d = X.shape
@@ -184,17 +183,19 @@ def _simulate(
     stream_indices = np.asarray(stream_indices, dtype=np.int64)
     if stream_indices.shape != (N,) or len(np.unique(stream_indices)) != N:
         raise ValueError("stream_indices must be N distinct integers")
+    order = np.argsort(stream_indices)
+    X, stream_indices = X[order], stream_indices[order]
 
     steps = _time_steps(s, t_end, cfg.dt)
     bank = _NoiseBank(cfg.seed, stream_indices, d, len(steps))
     times = [s]
-    records = [X.copy()]
+    records = [X]
     for k, (t, h, t_next) in enumerate(steps):
         b, sig = drift_diffusion(t, X)
         X = X + b * h + np.einsum("nij,nj->ni", sig, bank.draw()) * np.sqrt(h)
         if (k + 1) % cfg.record_every == 0 or k + 1 == len(steps):
             times.append(t_next)
-            records.append(X.copy())
+            records.append(X)
     return PathEnsemble(
         times=np.asarray(times),
         positions=np.stack(records),
@@ -240,14 +241,11 @@ def simulate_frozen(
     recorded law nearest to the step's start time; a recorded flow that does
     not cover [s, t_end] raises ``ValueError`` at the first step outside it.
     """
-    if callable(flow) and not hasattr(flow, "state_at") and not hasattr(flow, "marginal_at"):
+    flow_at = getattr(flow, "state_at", None) or getattr(flow, "marginal_at", None)
+    if flow_at is None:
+        if not callable(flow):
+            raise TypeError("flow must expose state_at, marginal_at, or be callable")
         flow_at = flow
-    elif hasattr(flow, "state_at"):
-        flow_at = flow.state_at
-    elif hasattr(flow, "marginal_at"):
-        flow_at = flow.marginal_at
-    else:
-        raise TypeError("flow must expose state_at, marginal_at, or be callable")
 
     def drift_diffusion(t, X):
         mu = flow_at(t)

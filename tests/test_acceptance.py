@@ -55,7 +55,8 @@ from mvlab.particles import (
     simulate_frozen,
     simulate_mckean_vlasov,
 )
-from tests_helpers import arctan_params, cos_test, gaussian_grid, square_test, tanh_test
+from mvlab.presets import arctan_params, cos_test, gaussian_grid, tanh_test
+from tests_helpers import linear_F, square_test
 
 
 def report(n, name, ok, detail=""):
@@ -63,10 +64,6 @@ def report(n, name, ok, detail=""):
     if detail:
         line += f"  [{detail}]"
     print(line, flush=True)
-
-
-def linear_F(h):
-    return CylindricalFunction.linear(h.h, h.grad, h.hess)
 
 
 # ---------------------------------------------------------------------------

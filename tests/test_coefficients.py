@@ -10,23 +10,8 @@ from mvlab.coefficients import (
     nldbm_coefficients,
     validate_hypotheses,
 )
-from mvlab.measures import EmpiricalMeasure, GridDensity1D, kde_density
-
-
-def arctan_params(C=1.0, alpha=0.5):
-    Phi, gradPhi = canonical_confining_potential(C, alpha)
-    return NLDBMParams(
-        beta=lambda r: 2 * r + np.arctan(r),
-        beta_prime=lambda r: 2 + 1 / (1 + r**2),
-        gamma=2.0,
-        gamma1=3.0,
-        b_scalar=lambda r: 1 / (1 + r**2),
-        b_scalar_prime=lambda r: -2 * r / (1 + r**2) ** 2,
-        Phi=Phi,
-        gradPhi=gradPhi,
-        C=C,
-        alpha=alpha,
-    )
+from mvlab.measures import EmpiricalMeasure, kde_density
+from mvlab.presets import arctan_params, gaussian_grid
 
 
 class TestNLDBMParams:
@@ -85,9 +70,7 @@ class TestCoefficientSets:
     def test_nldbm_sigma_squared_is_diffusion_ratio(self):
         p = arctan_params()
         cs = nldbm_coefficients(p)
-        xs = -8.0 + 0.01 * (np.arange(1600) + 0.5)
-        v = np.exp(-xs**2 / 0.5)
-        mu = GridDensity1D(-8.0, 0.01, v / (v.sum() * 0.01))
+        mu = gaussian_grid(0.25)
         X = np.array([[0.0]])
         a = cs.diffusion_matrix(0.0, X, mu)[0, 0, 0]
         u = mu.density_at(np.array([0.0]))[0]

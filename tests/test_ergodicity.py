@@ -6,7 +6,7 @@ from mvlab.coefficients import MonotonicityConstants, meanfield_ou_coefficients
 from mvlab.ergodicity import decay_envelope, decay_study, find_invariant, fit_decay_rate
 from mvlab.fpe import SolverConfig
 from mvlab.particles import SimConfig
-from tests_helpers import gaussian_grid
+from mvlab.presets import gaussian_grid
 
 
 def consts(lam=1.5, kap=0.5, lam_bar=1.5, kap_bar=0.5):

@@ -12,7 +12,8 @@ from mvlab.feynman_kac import (
 )
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import CylindricalFunction, EmpiricalMeasure, intrinsic_gradient
-from tests_helpers import gaussian_grid, square_test, tanh_test
+from mvlab.presets import gaussian_grid, tanh_test
+from tests_helpers import square_test
 
 CFG = SolverConfig(dt=1e-3)
 

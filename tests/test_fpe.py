@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
+from mvlab.coefficients import CoefficientSet, heat_coefficients, meanfield_ou_coefficients
 from mvlab.fpe import (
     CFLError,
     DensityPath,
@@ -16,23 +18,10 @@ from mvlab.fpe import (
     solve_frozen_fpe,
     solve_nonlinear_fpe,
 )
-from mvlab.measures import GridDensity1D, InnerTest
+from mvlab.measures import GridDensity1D, density_at
+from mvlab.presets import gaussian_grid as gaussian, tanh_test
 
 X_MIN, DX, M = -8.0, 0.01, 1600
-XS = X_MIN + DX * (np.arange(M) + 0.5)
-
-
-def gaussian(var, mean=0.0):
-    v = np.exp(-((XS - mean) ** 2) / (2 * var))
-    return GridDensity1D(X_MIN, DX, v / (v.sum() * DX))
-
-
-def tanh_test():
-    return InnerTest(
-        lambda X: np.tanh(X[:, 0]),
-        lambda X: (1 - np.tanh(X[:, 0]) ** 2)[:, None],
-        lambda X: (-2 * np.tanh(X[:, 0]) * (1 - np.tanh(X[:, 0]) ** 2))[:, None, None],
-    )
 
 
 class TestHeatOracle:
@@ -83,6 +72,20 @@ class TestMeanFieldOU:
                                    record_every=5000)
         drift = np.abs(path.states[-1].values - inv.values).sum() * DX
         assert drift < 1e-2
+
+    def test_frozen_step_evaluates_fields_once_at_its_right_end(self):
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        flow = solve_nonlinear_fpe(gaussian(0.25), cs, 0.0, 0.05, SolverConfig(dt=1e-3))
+        calls = []
+
+        def b_bar(t, X, mu):
+            calls.append(t)
+            return cs.b(t, X, mu)
+
+        frozen = solve_frozen_fpe(gaussian(0.5, -1.0), flow, replace(cs, b_bar=b_bar),
+                                  SolverConfig(dt=1e-3))
+        assert calls == [t + h for t, h, _ in _time_steps(0.0, 0.05, 1e-3)]
+        assert frozen.log.picard_iterations_max == 0
 
     def test_frozen_matches_nonlinear_when_coefficients_agree(self):
         cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
@@ -208,3 +211,29 @@ class TestFVOperator:
         flow = solve_nonlinear_fpe(gaussian(0.25), cs, 0.0, 0.01, SolverConfig(dt=1e-3))
         with pytest.raises(ValueError, match="cells"):
             solve_backward_kolmogorov(np.ones(M - 1), flow, cs, SolverConfig(dt=1e-3), 0.0, 0.01)
+
+
+class TestRandomCoefficients:
+    @settings(max_examples=40, deadline=None)
+    @given(fv_system())
+    def test_semi_implicit_solves_conserve_mass(self, system):
+        diffusion, drift, dx, dt, u0, nu0 = system
+        u0, nu0, x_min = u0 + 0.01, nu0 + 0.01, -0.5
+        centers = x_min + dx * (np.arange(len(u0)) + 0.5)
+
+        def b(t, X, mu):
+            u = density_at(mu, X[:, 0])
+            return (np.interp(X[:, 0], centers, drift) / (1 + u))[:, None]
+
+        def sigma(t, X, mu):
+            u = density_at(mu, X[:, 0])
+            a = np.interp(X[:, 0], centers, diffusion) * (1 + u / (1 + u))
+            return np.sqrt(a)[:, None, None]
+
+        cs = CoefficientSet(b=b, sigma=sigma)
+        cfg = SolverConfig(dt=dt)
+        flow = solve_nonlinear_fpe(GridDensity1D(x_min, dx, u0 / (u0.sum() * dx)), cs,
+                                   0.0, 4 * dt, cfg)
+        frozen = solve_frozen_fpe(GridDensity1D(x_min, dx, nu0 / (nu0.sum() * dx)), flow, cs, cfg)
+        assert flow.log.max_mass_drift <= 1e-12
+        assert frozen.log.max_mass_drift <= 1e-12

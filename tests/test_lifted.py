@@ -17,11 +17,8 @@ from mvlab.lifted import (
     measure_flow_derivative_residual,
 )
 from mvlab.measures import CylindricalFunction
-from tests_helpers import cos_test, gaussian_grid, identity_test, square_test, tanh_test
-
-
-def linear_F(h):
-    return CylindricalFunction.linear(h.h, h.grad, h.hess)
+from mvlab.presets import cos_test, gaussian_grid, tanh_test
+from tests_helpers import identity_test, linear_F, square_test
 
 
 class TestMeasureGenerator:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from mvlab import presets
 from mvlab.measures import (
     CylindricalFunction,
     EmpiricalMeasure,
@@ -26,9 +27,7 @@ from mvlab.measures import (
 
 
 def gaussian_grid(mean=0.0, var=1.0, x_min=-10.0, dx=0.01, n=2000):
-    xs = x_min + dx * (np.arange(n) + 0.5)
-    v = np.exp(-((xs - mean) ** 2) / (2 * var))
-    return GridDensity1D(x_min, dx, v / (v.sum() * dx))
+    return presets.gaussian_grid(var, mean, x_min, dx, n)
 
 
 class TestEmpiricalMeasure:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
+from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients, nldbm_coefficients
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import MeasureViewError
 from mvlab.particles import (
@@ -11,7 +13,7 @@ from mvlab.particles import (
     simulate_frozen,
     simulate_mckean_vlasov,
 )
-from tests_helpers import gaussian_grid
+from mvlab.presets import arctan_params, gaussian_grid
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,28 @@ class TestReproducibility:
             assert np.array_equal(np.sort(a.positions[i], axis=0),
                                   np.sort(b.positions[i], axis=0))
 
+    @pytest.mark.parametrize("closure", ["ou", "kde"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_gives_the_same_cloud_row_for_row(self, ou, closure, data):
+        n = data.draw(st.integers(2, 12))
+        idx = np.array(data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n,
+                                          unique=True)))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        x0 = np.random.default_rng(seed).normal(0.0, 0.5, (n, 1))
+        if closure == "ou":
+            cs, cfg = ou, SimConfig(dt=1e-3, seed=seed, record_every=5)
+        else:
+            cs = nldbm_coefficients(arctan_params())
+            cfg = SimConfig(dt=1e-3, seed=seed, record_every=5, kde=KDESpec(-10.0, 0.05, 400))
+        a = simulate_mckean_vlasov(x0, cs, 0.0, 0.02, cfg, stream_indices=idx)
+        b = simulate_mckean_vlasov(x0[perm], cs, 0.0, 0.02, cfg, stream_indices=idx[perm])
+        # rows follow the increasing stream indices, whatever the caller's labels
+        assert np.array_equal(a.stream_indices, np.sort(idx))
+        assert np.array_equal(b.stream_indices, a.stream_indices)
+        assert np.array_equal(b.positions, a.positions)
+
     def test_seed_changes_output(self, ou):
         x0 = initial_cloud(500)
         a = simulate_mckean_vlasov(x0, ou, 0.0, 0.1, SimConfig(dt=1e-3, seed=1))
@@ -69,9 +93,6 @@ class TestReproducibility:
         assert not np.array_equal(a.positions[-1], b.positions[-1])
 
     def test_kde_closure_is_exchangeable(self):
-        from mvlab.coefficients import nldbm_coefficients
-        from tests_helpers import arctan_params
-
         cs = nldbm_coefficients(arctan_params())
         kde = KDESpec(-8.0, 0.01, 1600)
         x0 = initial_cloud(800, mean=0.0, std=0.5)
@@ -134,9 +155,6 @@ class TestValidation:
                                    stream_indices=np.array([0, 0, 1]))
 
     def test_density_closure_requires_kde(self):
-        from mvlab.coefficients import nldbm_coefficients
-        from tests_helpers import arctan_params
-
         cs = nldbm_coefficients(arctan_params())
         with pytest.raises(MeasureViewError):
             simulate_mckean_vlasov(initial_cloud(50), cs, 0.0, 0.01,

@@ -1,49 +1,13 @@
-"""Shared fixtures-by-hand for the test suite."""
+"""Test functions only the test suite uses; shared presets live in
+``mvlab.presets``."""
 
 import numpy as np
 
-from mvlab.coefficients import NLDBMParams, canonical_confining_potential
-from mvlab.measures import GridDensity1D, InnerTest
+from mvlab.measures import CylindricalFunction, InnerTest
 
 
-def arctan_params(C=1.0, alpha=0.5):
-    """Density-dependent diffusion beta(r) = 2r + arctan(r) with bounded
-    drift modulation 1/(1+r^2) and the canonical confining potential."""
-    Phi, gradPhi = canonical_confining_potential(C, alpha)
-    return NLDBMParams(
-        beta=lambda r: 2 * r + np.arctan(r),
-        beta_prime=lambda r: 2 + 1 / (1 + r**2),
-        gamma=2.0,
-        gamma1=3.0,
-        b_scalar=lambda r: 1 / (1 + r**2),
-        b_scalar_prime=lambda r: -2 * r / (1 + r**2) ** 2,
-        Phi=Phi,
-        gradPhi=gradPhi,
-        C=C,
-        alpha=alpha,
-    )
-
-
-def gaussian_grid(var, mean=0.0, x_min=-8.0, dx=0.01, n=1600):
-    xs = x_min + dx * (np.arange(n) + 0.5)
-    v = np.exp(-((xs - mean) ** 2) / (2 * var))
-    return GridDensity1D(x_min, dx, v / (v.sum() * dx))
-
-
-def tanh_test():
-    return InnerTest(
-        lambda X: np.tanh(X[:, 0]),
-        lambda X: (1 - np.tanh(X[:, 0]) ** 2)[:, None],
-        lambda X: (-2 * np.tanh(X[:, 0]) * (1 - np.tanh(X[:, 0]) ** 2))[:, None, None],
-    )
-
-
-def cos_test():
-    return InnerTest(
-        lambda X: np.cos(X[:, 0]),
-        lambda X: (-np.sin(X[:, 0]))[:, None],
-        lambda X: (-np.cos(X[:, 0]))[:, None, None],
-    )
+def linear_F(h):
+    return CylindricalFunction.linear(h.h, h.grad, h.hess)
 
 
 def square_test():
