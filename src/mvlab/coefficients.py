@@ -130,25 +130,25 @@ def _isotropic_sigma(values: np.ndarray, d: int, m: int) -> np.ndarray:
     return out
 
 
-def nldbm_coefficients(p: NLDBMParams, d: int = 1) -> CoefficientSet:
-    """Nemytskii coefficients of nonlinear distorted Brownian motion.
+def nldbm_coefficients(p: NLDBMParams) -> CoefficientSet:
+    """Nemytskii coefficients of nonlinear distorted Brownian motion on R.
 
-    The diffusion matrix of the generator is (beta(u)/u) * Id, so
-    sigma = sqrt(beta(u)/u) * Id; the drift is b_scalar(u(x)) * D(x) with
-    D = -grad Phi. The measure argument must expose a density view.
+    The diffusion of the generator is beta(u)/u, so sigma = sqrt(beta(u)/u);
+    the drift is b_scalar(u(x)) * D(x) with D = -grad Phi. The measure
+    argument must expose a one-dimensional density view.
     """
 
     def b(t, X, mu):
         X = np.atleast_2d(X)
-        u = density_at(mu, X[:, 0]) if d == 1 else density_at(mu, X)
+        u = density_at(mu, X[:, 0])
         return -np.asarray(p.b_scalar(u), dtype=float)[:, None] * np.asarray(p.gradPhi(X), dtype=float)
 
     def sigma(t, X, mu):
         X = np.atleast_2d(X)
-        u = density_at(mu, X[:, 0]) if d == 1 else density_at(mu, X)
-        return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), d, d)
+        u = density_at(mu, X[:, 0])
+        return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), 1, 1)
 
-    return CoefficientSet(b=b, sigma=sigma, d=d)
+    return CoefficientSet(b=b, sigma=sigma, d=1)
 
 
 def meanfield_ou_coefficients(

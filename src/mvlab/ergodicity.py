@@ -14,7 +14,7 @@ with the middle ratio read as t * e^{-lam_bar t} at kap + lam_bar = lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,13 +116,17 @@ class ErgodicityReport:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
-def _bootstrap_w2(points: np.ndarray, qfun, n_boot: int, rng: np.random.Generator) -> float:
-    n = points.shape[0]
+def _w2_with_stderr(points: np.ndarray, qfun, n_boot: int, rng: np.random.Generator) -> tuple[float, float]:
+    """W2 of a 1-D cloud to qfun and its bootstrap standard error. The cloud
+    is sorted once; each replicate weights the sorted atoms by the counts of
+    n draws with replacement, so neither value depends on the cloud's order."""
+    atoms = np.sort(points[:, 0])
+    n = len(atoms)
     vals = np.empty(n_boot)
     for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        vals[b] = w2_to_quantile(EmpiricalMeasure.from_atoms(points[idx]), qfun)
-    return float(vals.std(ddof=1))
+        counts = np.bincount(rng.integers(0, n, n), minlength=n)
+        vals[b] = w2_to_quantile(EmpiricalMeasure.from_atoms(atoms, counts / n), qfun)
+    return w2_to_quantile(EmpiricalMeasure.from_atoms(atoms), qfun), float(vals.std(ddof=1))
 
 
 def decay_study(
@@ -139,17 +143,19 @@ def decay_study(
 ) -> ErgodicityReport:
     """Particle decay study in one dimension.
 
-    The nonlinear cloud starts from x0_mu, the frozen cloud from x0_nu and is
-    driven by the nonlinear empirical flow. Distances to the invariant
+    The nonlinear cloud starts from x0_mu on streams 0..N-1 of the seed; the
+    frozen cloud starts from x0_nu on the streams after them, N onwards, and
+    is driven by the nonlinear empirical flow. Distances to the invariant
     measures are exact quantile-coupling W2 against the supplied analytic
     quantile functions, with bootstrap standard errors. Each checkpoint must
     lie on the record grid (a recorded time within dt/2), else ``ValueError``.
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     horizon = float(checkpoints[-1])
+    n = x0_mu.shape[0]
     ens_mu = simulate_mckean_vlasov(x0_mu, coeffs, 0.0, horizon, sim_cfg)
-    cfg_nu = replace(sim_cfg, seed=sim_cfg.seed + 1)
-    ens_nu = simulate_frozen(x0_nu, ens_mu, coeffs, 0.0, horizon, cfg_nu)
+    ens_nu = simulate_frozen(x0_nu, ens_mu, coeffs, 0.0, horizon, sim_cfg,
+                             stream_indices=n + np.arange(x0_nu.shape[0]))
 
     rng = np.random.default_rng(boot_seed)
     w2_mu = np.empty(len(checkpoints))
@@ -157,12 +163,10 @@ def decay_study(
     se_mu = np.empty(len(checkpoints))
     se_nu = np.empty(len(checkpoints))
     for i, t in enumerate(checkpoints):
-        pm = ens_mu.marginal_at(t, tol=sim_cfg.dt / 2).points
-        pn = ens_nu.marginal_at(t, tol=sim_cfg.dt / 2).points
-        w2_mu[i] = w2_to_quantile(EmpiricalMeasure.from_atoms(pm), quantile_mu_inf)
-        w2_nu[i] = w2_to_quantile(EmpiricalMeasure.from_atoms(pn), quantile_nu_inf)
-        se_mu[i] = _bootstrap_w2(pm, quantile_mu_inf, n_boot, rng)
-        se_nu[i] = _bootstrap_w2(pn, quantile_nu_inf, n_boot, rng)
+        for ens, qfun, w2, se in ((ens_mu, quantile_mu_inf, w2_mu, se_mu),
+                                  (ens_nu, quantile_nu_inf, w2_nu, se_nu)):
+            cloud = ens.marginal_at(t, tol=sim_cfg.dt / 2).points
+            w2[i], se[i] = _w2_with_stderr(cloud, qfun, n_boot, rng)
 
     mu0 = EmpiricalMeasure.from_atoms(x0_mu)
     nu0 = EmpiricalMeasure.from_atoms(x0_nu)
@@ -173,7 +177,6 @@ def decay_study(
         consts,
     )
 
-    n = x0_mu.shape[0]
     floor = (2.0 / np.sqrt(n)) ** 2
     sq = w2_mu**2 + w2_nu**2
     try:

@@ -10,8 +10,9 @@ terminal datum Phi. Here X is the linearized (frozen) process started at x
 and the measure coordinate follows the nonlinear flow from mu.
 
 Two backends: Monte Carlo over a frozen particle cloud (with standard
-errors), and a deterministic backward grid solve of the Kolmogorov equation
-with potential along the flow (exact in the measure coordinate). The grid
+errors), stepped by the particle simulator's one Euler-Maruyama loop, and a
+deterministic backward grid solve of the Kolmogorov equation with potential
+along the flow (exact in the measure coordinate). The grid
 backend owns no discretization: it is the transposed frozen finite-volume
 step of ``fpe``, so without potential and source it is the discrete adjoint
 of the frozen Fokker-Planck solve that ``lifted`` uses for the kernel.
@@ -32,12 +33,11 @@ from .fpe import (
     DensityPath,
     SolverConfig,
     _check_flow,
-    _time_steps,
     solve_backward_kolmogorov,
     solve_nonlinear_fpe,
 )
 from .measures import GridDensity1D, pushforward
-from .particles import _NoiseBank
+from .particles import SimConfig, _simulate
 
 __all__ = [
     "FKProblem",
@@ -85,30 +85,34 @@ def fk_evaluate_mc(
     flow: DensityPath | None = None,
 ) -> FKEstimate:
     """Monte Carlo evaluation: n_particles independent copies of the frozen
-    process from x, stepped over [t, horizon] by ``fpe._time_steps`` (the
-    last step is short when dt does not divide the horizon), potential and
-    source accumulated by left-point rule. A flow that does not cover
-    [t, horizon] raises ``ValueError``."""
+    process from x on streams 0..n_particles-1 of seed, stepped over
+    [t, horizon] by ``particles._simulate`` (the last step is short when dt
+    does not divide the horizon), potential and source accumulated by
+    left-point rule. A flow that does not cover [t, horizon] raises
+    ``ValueError``."""
     if flow is None:
         flow = _flow_for(problem, t, mu, cfg)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = problem.coeffs.d
-    X = np.tile(x.reshape(1, d), (n_particles, 1))
-    steps = _time_steps(t, problem.horizon, cfg.dt)
-    bank = _NoiseBank(seed, np.arange(n_particles, dtype=np.int64), d, len(steps))
+    x = np.asarray(x, dtype=float).reshape(1, problem.coeffs.d)
     weight = np.ones(n_particles)
     accum = np.zeros(n_particles)
-    for r, h, _ in steps:
+
+    def drift_diffusion(r, h, X):
+        nonlocal weight, accum
         mu_r = flow.state_at(r)
         if problem.source is not None:
             accum += weight * np.asarray(problem.source(r, X, mu_r), dtype=float) * h
         if problem.potential is not None:
             weight *= np.exp(np.asarray(problem.potential(r, X, mu_r), dtype=float) * h)
-        b = np.asarray(problem.coeffs.b_bar(r, X, mu_r), dtype=float)
-        s = np.asarray(problem.coeffs.sigma_bar(r, X, mu_r), dtype=float)
-        X = X + b * h + np.einsum("nij,nj->ni", s, bank.draw()) * np.sqrt(h)
+        return (
+            np.asarray(problem.coeffs.b_bar(r, X, mu_r), dtype=float),
+            np.asarray(problem.coeffs.sigma_bar(r, X, mu_r), dtype=float),
+        )
+
+    # record_every beyond the step count keeps only the start and the end
+    ens = _simulate(np.tile(x, (n_particles, 1)), t, problem.horizon,
+                    SimConfig(cfg.dt, seed, record_every=10**9), drift_diffusion, None)
     samples = accum + weight * np.asarray(
-        problem.terminal(X, flow.state_at(problem.horizon)), dtype=float
+        problem.terminal(ens.positions[-1], flow.state_at(problem.horizon)), dtype=float
     )
     return FKEstimate(
         value=float(samples.mean()),

@@ -223,10 +223,6 @@ class GridDensity1D:
         frac = np.where(cell_mass > 0, (p - prev) / np.where(cell_mass > 0, cell_mass, 1.0), 0.5)
         return self.x_min + (idx + np.clip(frac, 0.0, 1.0)) * self.dx
 
-    def normalized(self) -> "GridDensity1D":
-        total = self.dx * self.values.sum()
-        return GridDensity1D(self.x_min, self.dx, self.values / total)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("x,u\n")

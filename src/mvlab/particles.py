@@ -4,13 +4,14 @@ The mean-field interaction is closed over the empirical law of the particle
 system; density-dependent (Nemytskii) coefficients additionally see a binned
 kernel-density view on a fixed grid.
 
-Reproducibility contract: each particle draws from its own counter-based
-stream (Philox keyed by (seed, stream index)), and a cloud is held in one
-canonical order, increasing stream index: the simulator reorders the initial
-positions by their stream indices once, then steps, reduces and records the
-cloud in that order. Permuting particles together with their stream indices
-therefore yields the same cloud row for row, and bitwise-identical empirical
-laws.
+Reproducibility contract: normals are a function of (seed, stream index,
+step), drawn from a counter-based generator (Philox) with no state carried
+between steps, so a stream gets the same normals whichever other streams
+run beside it. A cloud is held in one canonical order, increasing stream
+index: the simulator reorders the initial positions by their stream indices
+once, then steps, reduces and records the cloud in that order. Permuting
+particles together with their stream indices therefore yields the same
+cloud row for row, and bitwise-identical empirical laws.
 """
 
 from __future__ import annotations
@@ -139,31 +140,26 @@ class PathEnsemble:
             )
 
 
-class _NoiseBank:
-    """Buffers standard normals per particle from independent Philox streams,
-    at most 256 steps at a time. The draws do not depend on the buffer size;
-    the cap bounds memory for large clouds."""
+# Streams per Philox counter block. A block is drawn up to its largest
+# needed offset, so a lone stream costs at most this many normals per step.
+_BLOCK = 4096
 
-    def __init__(self, seed: int, stream_indices: np.ndarray, d: int, n_steps: int):
-        self._gens = [
-            np.random.Generator(np.random.Philox(key=[seed, int(ix)]))
-            for ix in stream_indices
-        ]
-        self._d = d
-        self._block = min(256, n_steps)
-        self._buf = None
-        self._pos = 0
 
-    def draw(self) -> np.ndarray:
-        """(N, d) normals for one step."""
-        if self._buf is None or self._pos == self._block:
-            self._buf = np.stack(
-                [g.standard_normal((self._block, self._d)) for g in self._gens]
-            )
-            self._pos = 0
-        out = self._buf[:, self._pos, :]
-        self._pos += 1
-        return out
+def _normals(seed: int, stream_indices: np.ndarray, k: int, d: int) -> np.ndarray:
+    """(N, d) standard normals of step k for increasing stream indices.
+
+    Stream i takes row i mod B (B = ``_BLOCK``) of the draw keyed by seed at
+    counter (0, k, i // B, 0), which has just enough rows for the largest
+    offset in its block. ``standard_normal`` fills rows in order, so a
+    stream's normals do not depend on which other streams are drawn.
+    """
+    blocks, offsets = np.divmod(stream_indices, _BLOCK)
+    cuts = np.flatnonzero(np.diff(blocks)) + 1
+    parts = []
+    for blk, off in zip(blocks[np.r_[0, cuts]], np.split(offsets, cuts)):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, k, blk, 0]))
+        parts.append(gen.standard_normal((off[-1] + 1, d))[off])
+    return np.concatenate(parts)
 
 
 def _simulate(
@@ -174,6 +170,9 @@ def _simulate(
     drift_diffusion: Callable,
     stream_indices: np.ndarray | None,
 ) -> PathEnsemble:
+    """The one Euler-Maruyama loop. ``drift_diffusion(t, h, X)`` is called
+    once per step (t, h) with the cloud at t and returns (b, sigma) there;
+    the cloud then moves by b h + sigma Z sqrt(h), Z from ``_normals``."""
     X = np.atleast_2d(np.asarray(x0, dtype=float))
     if X.ndim != 2:
         raise ValueError("x0 must have shape (N, d)")
@@ -187,12 +186,12 @@ def _simulate(
     X, stream_indices = X[order], stream_indices[order]
 
     steps = _time_steps(s, t_end, cfg.dt)
-    bank = _NoiseBank(cfg.seed, stream_indices, d, len(steps))
     times = [s]
     records = [X]
     for k, (t, h, t_next) in enumerate(steps):
-        b, sig = drift_diffusion(t, X)
-        X = X + b * h + np.einsum("nij,nj->ni", sig, bank.draw()) * np.sqrt(h)
+        b, sig = drift_diffusion(t, h, X)
+        Z = _normals(cfg.seed, stream_indices, k, d)
+        X = X + b * h + np.einsum("nij,nj->ni", sig, Z) * np.sqrt(h)
         if (k + 1) % cfg.record_every == 0 or k + 1 == len(steps):
             times.append(t_next)
             records.append(X)
@@ -215,7 +214,7 @@ def simulate_mckean_vlasov(
 ) -> PathEnsemble:
     """Coefficients are closed over the evolving empirical law of the cloud."""
 
-    def drift_diffusion(t, X):
+    def drift_diffusion(t, h, X):
         mu = _law(X, cfg.kde)
         return (
             np.asarray(coeffs.b(t, X, mu), dtype=float),
@@ -247,7 +246,7 @@ def simulate_frozen(
             raise TypeError("flow must expose state_at, marginal_at, or be callable")
         flow_at = flow
 
-    def drift_diffusion(t, X):
+    def drift_diffusion(t, h, X):
         mu = flow_at(t)
         return (
             np.asarray(coeffs_bar.b_bar(t, X, mu), dtype=float),

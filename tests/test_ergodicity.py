@@ -3,8 +3,15 @@ import pytest
 from scipy.stats import norm
 
 from mvlab.coefficients import MonotonicityConstants, meanfield_ou_coefficients
-from mvlab.ergodicity import decay_envelope, decay_study, find_invariant, fit_decay_rate
+from mvlab.ergodicity import (
+    _w2_with_stderr,
+    decay_envelope,
+    decay_study,
+    find_invariant,
+    fit_decay_rate,
+)
 from mvlab.fpe import SolverConfig
+from mvlab.measures import EmpiricalMeasure, w2_to_quantile
 from mvlab.particles import SimConfig
 from mvlab.presets import gaussian_grid
 
@@ -105,3 +112,26 @@ class TestDecayStudy:
         with pytest.raises(ValueError, match="no record"):
             decay_study(cs, mono, x0, x0, SimConfig(dt=1e-2, seed=4, record_every=5),
                         np.array([0.0, 0.05, 0.07, 0.1]), q, q, n_boot=2)
+
+
+class TestBootstrap:
+    @staticmethod
+    def q(p):
+        return norm.ppf(p, scale=np.sqrt(0.5))
+
+    def test_cloud_order_does_not_matter(self):
+        pts = np.random.default_rng(8).normal(0.3, 0.8, (3000, 1))
+        perm = np.random.default_rng(9).permutation(3000)
+        a = _w2_with_stderr(pts, self.q, 30, np.random.default_rng(0))
+        b = _w2_with_stderr(pts[perm], self.q, 30, np.random.default_rng(0))
+        assert a == b
+
+    def test_equals_index_resampling_of_the_sorted_cloud(self):
+        pts = np.random.default_rng(10).normal(-0.2, 1.1, (3000, 1))
+        rng = np.random.default_rng(1)
+        atoms = np.sort(pts[:, 0])
+        vals = [w2_to_quantile(EmpiricalMeasure.from_atoms(atoms[rng.integers(0, 3000, 3000)]), self.q)
+                for _ in range(30)]
+        w2, se = _w2_with_stderr(pts, self.q, 30, np.random.default_rng(1))
+        assert w2 == w2_to_quantile(EmpiricalMeasure.from_atoms(pts), self.q)
+        assert se == float(np.std(vals, ddof=1))

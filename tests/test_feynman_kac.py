@@ -12,6 +12,7 @@ from mvlab.feynman_kac import (
 )
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import CylindricalFunction, EmpiricalMeasure, intrinsic_gradient
+from mvlab.particles import SimConfig, simulate_frozen
 from mvlab.presets import gaussian_grid, tanh_test
 from tests_helpers import square_test
 
@@ -74,6 +75,18 @@ class TestOracles:
         with pytest.raises(ValueError, match="span"):
             fk_evaluate(prob, 0.0, 0.5, mu, SolverConfig(dt=1e-2), backend="mc",
                         n_particles=100, seed=0, flow=short)
+
+    def test_mc_without_potential_is_the_frozen_cloud_mean(self, mu):
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        cfg = SolverConfig(dt=1e-2)
+        flow = solve_nonlinear_fpe(mu, cs, 0.0, 0.5, cfg)
+        terminal = lambda X, m: np.tanh(X[:, 0]) + m.mean()[0]
+        prob = FKProblem(cs, 0.5, terminal=terminal)
+        est = fk_evaluate(prob, 0.1, 0.3, mu, cfg, backend="mc", n_particles=500, seed=9,
+                          flow=flow)
+        ens = simulate_frozen(np.full((500, 1), 0.3), flow, cs, 0.1, 0.5,
+                              SimConfig(dt=1e-2, seed=9), stream_indices=np.arange(500))
+        assert est.value == terminal(ens.positions[-1], flow.state_at(0.5)).mean()
 
     def test_constant_source_accumulates(self, mu):
         cs = heat_coefficients(1, 1.0)

@@ -7,6 +7,7 @@ from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients, nld
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import MeasureViewError
 from mvlab.particles import (
+    _BLOCK,
     KDESpec,
     PathEnsemble,
     SimConfig,
@@ -85,6 +86,24 @@ class TestReproducibility:
         assert np.array_equal(a.stream_indices, np.sort(idx))
         assert np.array_equal(b.stream_indices, a.stream_indices)
         assert np.array_equal(b.positions, a.positions)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_subset_of_streams_gets_the_full_cloud_rows(self, data):
+        # non-interacting coefficients: each path depends on its own stream only
+        d = data.draw(st.integers(1, 2))
+        index = st.one_of(st.integers(0, 3 * _BLOCK), st.integers(0, 2**40))
+        idx = np.array(data.draw(st.lists(index, min_size=2, max_size=12, unique=True)))
+        keep = np.array(data.draw(st.lists(st.sampled_from(range(len(idx))), min_size=1,
+                                           unique=True)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        x0 = np.random.default_rng(seed).normal(0.0, 0.5, (len(idx), d))
+        cs, cfg = heat_coefficients(d, 1.0), SimConfig(dt=1e-3, seed=seed, record_every=5)
+        full = simulate_mckean_vlasov(x0, cs, 0.0, 0.02, cfg, stream_indices=idx)
+        part = simulate_mckean_vlasov(x0[keep], cs, 0.0, 0.02, cfg, stream_indices=idx[keep])
+        rows = np.searchsorted(full.stream_indices, part.stream_indices)
+        assert np.array_equal(full.stream_indices[rows], part.stream_indices)
+        assert np.array_equal(part.positions, full.positions[:, rows])
 
     def test_seed_changes_output(self, ou):
         x0 = initial_cloud(500)
