@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _DENSITY_FLOOR = 1e-30
+HYPOTHESIS_TOL = 1e-8  # a sampled margin below -HYPOTHESIS_TOL fails
+SAMPLE_BOX = (-10.0, 10.0)  # coordinates and densities sampled by ``validate_hypotheses``
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,9 @@ class CoefficientSet:
         object.__setattr__(self, "b_bar", self.b_bar or self.b)
         object.__setattr__(self, "sigma_bar", self.sigma_bar or self.sigma)
 
-    def diffusion_matrix(self, t, X, mu, bar: bool = False) -> np.ndarray:
+    def diffusion_matrix(self, t, X, mu) -> np.ndarray:
         """sigma sigma^T at each point, shape (N, d, d)."""
-        s = (self.sigma_bar if bar else self.sigma)(t, X, mu)
+        s = self.sigma(t, X, mu)
         return np.einsum("nij,nkj->nik", s, s)
 
 
@@ -202,30 +204,29 @@ def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
 
 @dataclass
 class HypothesisReport:
-    """Worst sampled margin per declared inequality; a negative margin below
-    -1e-8 marks the hypothesis as failed."""
+    """Worst sampled margin per declared inequality; a margin below
+    -``HYPOTHESIS_TOL`` marks the hypothesis as failed."""
 
     margins: dict[str, float] = field(default_factory=dict)
-    tol: float = 1e-8
 
     @property
     def passed(self) -> bool:
-        return all(np.isfinite(m) and m >= -self.tol for m in self.margins.values())
+        return all(np.isfinite(m) and m >= -HYPOTHESIS_TOL for m in self.margins.values())
 
     def record(self, name: str, margin: float):
         self.margins[name] = float(margin)
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "margins": dict(self.margins), "tol": self.tol}
+        return {"passed": self.passed, "margins": dict(self.margins), "tol": HYPOTHESIS_TOL}
 
 
 def validate_hypotheses(
     target,
-    sample_box: tuple[float, float] = (-10.0, 10.0),
     n_samples: int = 10_000,
     rng: np.random.Generator | None = None,
 ) -> HypothesisReport:
-    """Monte-Carlo verification of the structural hypotheses.
+    """Monte-Carlo verification of the structural hypotheses on samples
+    drawn uniformly from ``SAMPLE_BOX``.
 
     ``target`` is either an ``NLDBMParams`` (porous-medium hypotheses) or a
     ``(CoefficientSet, MonotonicityConstants)`` pair (growth + monotonicity).
@@ -233,14 +234,14 @@ def validate_hypotheses(
     """
     rng = rng or np.random.default_rng(0)
     if isinstance(target, NLDBMParams):
-        return _validate_nldbm(target, sample_box, n_samples, rng)
+        return _validate_nldbm(target, n_samples, rng)
     coeffs, consts = target
-    return _validate_monotone(coeffs, consts, sample_box, n_samples, rng)
+    return _validate_monotone(coeffs, consts, n_samples, rng)
 
 
-def _validate_nldbm(p: NLDBMParams, box, n, rng) -> HypothesisReport:
+def _validate_nldbm(p: NLDBMParams, n, rng) -> HypothesisReport:
     rep = HypothesisReport()
-    r = rng.uniform(box[0], box[1], n)
+    r = rng.uniform(*SAMPLE_BOX, n)
     with np.errstate(all="ignore"):
         bp = np.asarray(p.beta_prime(r), dtype=float)
         rep.record("beta_zero", -abs(float(np.asarray(p.beta(np.zeros(1)))[0])))
@@ -248,15 +249,15 @@ def _validate_nldbm(p: NLDBMParams, box, n, rng) -> HypothesisReport:
         rep.record("beta_prime_upper", float(np.min(p.gamma1 - bp)))
         bvals = np.asarray(p.b_scalar(r), dtype=float)
         rep.record("b_bounded", 1.0 if np.all(np.isfinite(bvals)) else -np.inf)
-        X = rng.uniform(box[0], box[1], (n, 1))
+        X = rng.uniform(*SAMPLE_BOX, (n, 1))
         g = np.linalg.norm(np.atleast_2d(p.gradPhi(X)), axis=1)
         rep.record("gradPhi_bounded", 1.0 if np.all(np.isfinite(g)) else -np.inf)
         rep.record("Phi_geq_one", float(np.min(np.asarray(p.Phi(X)) - 1.0)))
     return rep
 
 
-def _two_atom_measure(rng, box, d) -> EmpiricalMeasure:
-    return EmpiricalMeasure.from_atoms(rng.uniform(box[0], box[1], (2, d)))
+def _two_atom_measure(rng, d) -> EmpiricalMeasure:
+    return EmpiricalMeasure.from_atoms(rng.uniform(*SAMPLE_BOX, (2, d)))
 
 
 def _w2_two_atom(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -268,7 +269,7 @@ def _w2_two_atom(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return float(np.sqrt(0.5 * min(c1, c2)))
 
 
-def _validate_monotone(coeffs: CoefficientSet, consts: MonotonicityConstants, box, n, rng) -> HypothesisReport:
+def _validate_monotone(coeffs: CoefficientSet, consts: MonotonicityConstants, n, rng) -> HypothesisReport:
     rep = HypothesisReport()
     d = coeffs.d
     growth_margin = np.inf
@@ -276,10 +277,10 @@ def _validate_monotone(coeffs: CoefficientSet, consts: MonotonicityConstants, bo
     lst_bar_margin = np.inf
     t = 0.0
     for _ in range(n):
-        x = rng.uniform(box[0], box[1], (1, d))
-        y = rng.uniform(box[0], box[1], (1, d))
-        mu = _two_atom_measure(rng, box, d)
-        nu = _two_atom_measure(rng, box, d)
+        x = rng.uniform(*SAMPLE_BOX, (1, d))
+        y = rng.uniform(*SAMPLE_BOX, (1, d))
+        mu = _two_atom_measure(rng, d)
+        nu = _two_atom_measure(rng, d)
         w2 = _w2_two_atom(mu, nu)
         for bar, store in ((False, "plain"), (True, "bar")):
             bfun = coeffs.b_bar if bar else coeffs.b

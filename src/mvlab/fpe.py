@@ -43,7 +43,10 @@ __all__ = [
 ]
 
 MASS_STEP_TOL = 1e-12
-SPAN_SLACK = 1e-9  # how far a read may lie outside a recorded span
+CFL_SAFETY = 0.9  # explicit steps stay below this fraction of the CFL bound
+MAX_PICARD = 20  # Picard iterations per nonlinear semi-implicit step
+PICARD_TOL = 1e-10  # max-norm step residual that ends the Picard iteration
+SPAN_SLACK = 1e-9  # how far a read may miss a record (relative) or a span (absolute)
 CLIP_FLOOR = -1e-13
 CLIP_BUDGET = 1e-6
 
@@ -78,17 +81,12 @@ class ConservationLog:
 class SolverConfig:
     dt: float
     scheme: str = "semi_implicit"  # or "explicit"
-    cfl_safety: float = 0.9
-    max_picard: int = 20
-    picard_tol: float = 1e-10
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme not in ("explicit", "semi_implicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not (0 < self.cfl_safety <= 1):
-            raise ValueError("cfl_safety must lie in (0, 1]")
 
 
 @dataclass
@@ -115,13 +113,12 @@ class DensityPath:
         return float(self.times[-1])
 
     def state_at(self, t: float, tol: float | None = None) -> GridDensity1D:
-        """State at the recorded time nearest to t; ``ValueError`` if t lies
-        outside the recorded span or, with ``tol``, farther than tol from
-        every record (see ``_record_index``)."""
+        """State recorded at time t; ``ValueError`` if no record lies at t or,
+        with ``tol``, within tol of t (see ``_record_index``)."""
         return self.states[_record_index(self.times, t, tol)]
 
-    def covers(self, s: float, t: float, slack: float = SPAN_SLACK) -> bool:
-        return self.t_start <= s + slack and t <= self.t_end + slack
+    def covers(self, s: float, t: float) -> bool:
+        return self.t_start <= s + SPAN_SLACK and t <= self.t_end + SPAN_SLACK
 
     def to_csv(self) -> str:
         lines = ["t,x,u"]
@@ -192,7 +189,7 @@ def _fv_band(a, v, dx, dt, transpose=False):
     return ab
 
 
-def _check_cfl(a, v, dx, dt, safety):
+def _check_cfl(a, v, dx, dt):
     amax = float(np.max(a))
     vmax = float(np.max(np.abs(v)))
     limit = np.inf
@@ -200,9 +197,9 @@ def _check_cfl(a, v, dx, dt, safety):
         limit = min(limit, dx * dx / amax)
     if vmax > 0:
         limit = min(limit, dx / vmax)
-    if dt > safety * limit:
+    if dt > CFL_SAFETY * limit:
         raise CFLError(
-            f"explicit step dt={dt:g} violates the CFL bound {safety * limit:g} "
+            f"explicit step dt={dt:g} violates the CFL bound {CFL_SAFETY * limit:g} "
             f"(max diffusion {amax:g}, max drift {vmax:g}, dx={dx:g})"
         )
 
@@ -255,14 +252,17 @@ def _time_steps(s: float, t_end: float, dt: float) -> list[tuple[float, float, f
 
 
 def _record_index(times: np.ndarray, t: float, tol: float | None = None) -> int:
-    """Index of the recorded time nearest to t, the one lookup of a recorded
-    flow. Raises ``ValueError`` when t lies outside [times[0], times[-1]] by
-    more than ``SPAN_SLACK``, and, when ``tol`` is given, when the nearest
-    record is farther than tol from t."""
+    """Index of the record at time t, the one lookup of a recorded flow.
+    The read must hit a record up to a relative ``SPAN_SLACK``; an explicit
+    ``tol`` accepts the nearest record within tol instead. Raises
+    ``ValueError`` when t lies outside [times[0], times[-1]] by more than
+    ``SPAN_SLACK``, or when no record is close enough."""
     if not times[0] - SPAN_SLACK <= t <= times[-1] + SPAN_SLACK:
         raise ValueError(f"t={t} lies outside the recorded span [{times[0]}, {times[-1]}]")
+    if tol is None:
+        tol = SPAN_SLACK * max(1.0, abs(t))
     i = int(np.argmin(np.abs(times - t)))
-    if tol is not None and abs(times[i] - t) > tol:
+    if abs(times[i] - t) > tol:
         raise ValueError(f"no record within {tol} of t={t}")
     return i
 
@@ -281,7 +281,11 @@ def _march(
     fields do not depend on u (the view is ``None``), so the semi-implicit
     step evaluates them once, at the step's right end, and solves once: the
     fixed point that Picard iteration would reach, and the step
-    ``solve_backward_kolmogorov`` transposes."""
+    ``solve_backward_kolmogorov`` transposes. Otherwise each Picard iterate
+    solves with the last fields, re-evaluates them at the step's right end
+    on the new iterate and stops once the step residual is below
+    ``PICARD_TOL``; after ``MAX_PICARD`` re-solves a residual above
+    1e3 ``PICARD_TOL`` raises ``NonlinearSolveError``."""
     dx = u0.dx
     u = u0.values * dx  # work with cell masses; conservation is then telescoping
     mass0 = u.sum()
@@ -293,30 +297,26 @@ def _march(
     for k, (t, dt, t_next) in enumerate(steps):
         if cfg.scheme == "explicit":
             a, v = fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx))
-            _check_cfl(a, v, dx, dt, cfg.cfl_safety)
+            _check_cfl(a, v, dx, dt)
             u_new = _explicit_step(u, a, v, dx, dt)
         elif linear:
             a, v = fields_at(t + dt, None)
             u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
         else:
             a, v = fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx))
-            u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
-            for it in range(cfg.max_picard):
-                a2, v2 = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
-                resid = u_new - u + dt / dx * _flux_divergence(u_new, a2, v2, dx)
-                log.picard_iterations_max = max(log.picard_iterations_max, it + 1)
-                if float(np.max(np.abs(resid))) <= cfg.picard_tol:
+            for it in range(MAX_PICARD + 1):
+                u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
+                a, v = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
+                resid = u_new - u + dt / dx * _flux_divergence(u_new, a, v, dx)
+                resid = float(np.max(np.abs(resid)))
+                if resid <= PICARD_TOL:
                     break
-                u_new = solve_banded((1, 1), _fv_band(a2, v2, dx, dt), u)
-            else:
-                a2, v2 = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
-                resid = u_new - u + dt / dx * _flux_divergence(u_new, a2, v2, dx)
-                resid_norm = float(np.max(np.abs(resid)))
-                if resid_norm > 1e3 * cfg.picard_tol:
-                    raise NonlinearSolveError(
-                        f"Picard iteration did not converge at t={t:g} "
-                        f"(residual {resid_norm:.3e} after {cfg.max_picard} iterations)"
-                    )
+            log.picard_iterations_max = max(log.picard_iterations_max, min(it + 1, MAX_PICARD))
+            if resid > 1e3 * PICARD_TOL:
+                raise NonlinearSolveError(
+                    f"Picard iteration did not converge at t={t:g} "
+                    f"(residual {resid:.3e} after {MAX_PICARD} iterations)"
+                )
         drift = abs(u_new.sum() - mass0)
         log.max_mass_drift = max(log.max_mass_drift, drift)
         if drift > MASS_STEP_TOL:
@@ -442,14 +442,14 @@ def fpe_weak_residual(
     coeffs: CoefficientSet,
     h: InnerTest,
     flow: DensityPath | None = None,
-    bar: bool = False,
 ) -> np.ndarray:
     """Residual of the weak formulation at each recorded time:
 
         mu_t(h) - mu_s(h) - int_s^t int (1/2 a h'' + v h') dmu_r dr
 
     by trapezoidal quadrature over the recorded times. For frozen paths pass
-    the driving flow so coefficients are evaluated on it.
+    the driving flow: the frozen fields (b_bar, sigma_bar) are then evaluated
+    on it.
     """
     centers2d = path.states[0].centers[:, None]
     hp = np.asarray(h.grad(centers2d), dtype=float)[:, 0]
@@ -457,7 +457,7 @@ def fpe_weak_residual(
 
     def generator_integral(t, state):
         mu_for_coeffs = flow.state_at(t) if flow is not None else state
-        a, v = _eval_fields(coeffs, t, centers2d, mu_for_coeffs, bar=bar)
+        a, v = _eval_fields(coeffs, t, centers2d, mu_for_coeffs, bar=flow is not None)
         integrand = 0.5 * a * hpp + v * hp
         return float(state.dx * np.dot(state.values, integrand))
 

@@ -42,7 +42,6 @@ class KDESpec:
     dx: float
     n_cells: int
     bandwidth: float | str = "silverman"
-    method: str = "binned"
 
     def resolve_bandwidth(self, cloud: EmpiricalMeasure) -> float:
         if self.bandwidth == "silverman":
@@ -69,7 +68,7 @@ def _law(X: np.ndarray, kde: KDESpec | None) -> EmpiricalMeasure:
     if kde is not None:
         bw = kde.resolve_bandwidth(mu)
         mu = mu.with_density(
-            kde_density(mu, kde.x_min, kde.dx, kde.n_cells, bw, method=kde.method)
+            kde_density(mu, kde.x_min, kde.dx, kde.n_cells, bw, method="binned")
         )
     return mu
 
@@ -114,9 +113,8 @@ class PathEnsemble:
         return _law(self.positions[i], self.kde)
 
     def marginal_at(self, t: float, tol: float | None = None) -> EmpiricalMeasure:
-        """Empirical law at the recorded time nearest to t; ``ValueError`` if
-        t lies outside the recorded span or, with ``tol``, farther than tol
-        from every record (see ``fpe._record_index``)."""
+        """Empirical law recorded at time t; ``ValueError`` if no record lies
+        at t or, with ``tol``, within tol of t (see ``fpe._record_index``)."""
         return self.marginal(_record_index(self.times, t, tol))
 
     def save(self, path: str) -> None:
@@ -236,9 +234,11 @@ def simulate_frozen(
     """Linear dynamics whose coefficients see a stored measure flow.
 
     ``flow`` may be a grid-density path (``state_at``), a particle ensemble
-    (``marginal_at``), or a callable t -> measure. Each step reads the
-    recorded law nearest to the step's start time; a recorded flow that does
-    not cover [s, t_end] raises ``ValueError`` at the first step outside it.
+    (``marginal_at``), or a callable t -> measure. Each step reads the law
+    recorded at the step's start time, so a recorded flow must hold a record
+    at every step start in [s, t_end]; a missing record raises ``ValueError``
+    at the first step without one. A callable may read stale records on
+    purpose, e.g. ``lambda t: ens.marginal_at(t, tol=...)``.
     """
     flow_at = getattr(flow, "state_at", None) or getattr(flow, "marginal_at", None)
     if flow_at is None:

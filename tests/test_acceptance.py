@@ -9,10 +9,10 @@ Run just this file with
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import linprog
 from scipy.stats import norm
 
 from mvlab.cli import main as cli_main
@@ -56,7 +56,7 @@ from mvlab.particles import (
     simulate_mckean_vlasov,
 )
 from mvlab.presets import arctan_params, cos_test, gaussian_grid, tanh_test
-from tests_helpers import linear_F, square_test
+from tests_helpers import linear_F, lp_w2sq, square_test
 
 
 def report(n, name, ok, detail=""):
@@ -405,24 +405,6 @@ def test_criterion_7_lifted_generator():
 # ---------------------------------------------------------------------------
 
 
-def _lp_w2sq(mu, nu):
-    n, m = mu.n_atoms, nu.n_atoms
-    d2 = ((mu.points[:, None, :] - nu.points[None, :, :]) ** 2).sum(-1).ravel()
-    A_eq = []
-    for i in range(n):
-        row = np.zeros((n, m))
-        row[i, :] = 1
-        A_eq.append(row.ravel())
-    for j in range(m):
-        row = np.zeros((n, m))
-        row[:, j] = 1
-        A_eq.append(row.ravel())
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(d2, A_eq=np.array(A_eq), b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.success
-    return res.fun
-
-
 def _separated_cloud(rng, n):
     x = np.cumsum(rng.uniform(0.4, 1.4, n))
     x -= x.mean()
@@ -437,7 +419,7 @@ def test_criterion_8_w2_correctness():
         for m in range(1, 7):
             for _ in range(3):
                 mu, nu = _separated_cloud(rng, n), _separated_cloud(rng, m)
-                gap = abs(wasserstein2(mu, nu) ** 2 - _lp_w2sq(mu, nu))
+                gap = abs(wasserstein2(mu, nu) ** 2 - lp_w2sq(mu, nu))
                 worst_lp = max(worst_lp, gap)
 
     N = 10_000
@@ -485,10 +467,6 @@ def test_criterion_9_determinism(tmp_path):
     assert cli_main(["run", str(cfg_path), "--out", out_b]) == 0
     names = sorted(os.listdir(out_a))
     assert names == sorted(os.listdir(out_b))
-    same = all(
-        open(os.path.join(out_a, f), "rb").read()
-        == open(os.path.join(out_b, f), "rb").read()
-        for f in names
-    )
+    same = all(Path(out_a, f).read_bytes() == Path(out_b, f).read_bytes() for f in names)
     report(9, "determinism", same, f"{len(names)} artifacts compared")
     assert same

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,7 @@ def test_each_experiment_runs(tmp_path, experiment):
     path, _ = write_config(tmp_path, f"{experiment}.json", experiment=experiment)
     assert main(["run", path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "manifest.json"))
-    results = json.load(open(os.path.join(out, "results.json")))
+    results = json.loads(Path(out, "results.json").read_text())
     assert results["experiment"] == experiment
     assert results["exit_code"] == 0
 
@@ -44,7 +45,7 @@ def test_ergodicity_experiment(tmp_path):
     num.update({"horizon": 2.0, "checkpoints": 5, "n_particles": 800})
     path, _ = write_config(tmp_path, "erg.json", experiment="ergodicity", numerics=num)
     assert main(["run", path, "--out", out]) == 0
-    results = json.load(open(os.path.join(out, "results.json")))
+    results = json.loads(Path(out, "results.json").read_text())
     assert results["envelope_holds"] is True
 
 
@@ -107,7 +108,7 @@ def test_seed_override_lands_in_manifest(tmp_path):
     out = str(tmp_path / "seeded")
     path, _ = write_config(tmp_path, "seeded.json", experiment="gradient-check")
     assert main(["run", path, "--out", out, "--seed", "99"]) == 0
-    man = json.load(open(os.path.join(out, "manifest.json")))
+    man = json.loads(Path(out, "manifest.json").read_text())
     assert man["config"]["seed"] == 99
     assert "versions" in man
 
@@ -118,6 +119,6 @@ def test_rerun_bitwise_identical(tmp_path):
     assert main(["run", path, "--out", out_a]) == 0
     assert main(["run", path, "--out", out_b]) == 0
     for name in sorted(os.listdir(out_a)):
-        a = open(os.path.join(out_a, name), "rb").read()
-        b = open(os.path.join(out_b, name), "rb").read()
+        a = Path(out_a, name).read_bytes()
+        b = Path(out_b, name).read_bytes()
         assert a == b, name

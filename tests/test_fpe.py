@@ -8,10 +8,13 @@ from scipy.linalg import solve_banded
 
 from mvlab.coefficients import CoefficientSet, heat_coefficients, meanfield_ou_coefficients
 from mvlab.fpe import (
+    MAX_PICARD,
     CFLError,
     DensityPath,
+    NonlinearSolveError,
     SolverConfig,
     _fv_band,
+    _record_index,
     _time_steps,
     fpe_weak_residual,
     solve_backward_kolmogorov,
@@ -19,6 +22,7 @@ from mvlab.fpe import (
     solve_nonlinear_fpe,
 )
 from mvlab.measures import GridDensity1D, density_at
+from mvlab.particles import SimConfig, simulate_frozen
 from mvlab.presets import gaussian_grid as gaussian, tanh_test
 
 X_MIN, DX, M = -8.0, 0.01, 1600
@@ -110,6 +114,37 @@ class TestConservation:
         assert path.log.worst_undershoot == 0.0
 
 
+class TestPicard:
+    @staticmethod
+    def one_step(b):
+        cs = CoefficientSet(b=b, sigma=heat_coefficients(1, 1.0).sigma)
+        return solve_nonlinear_fpe(gaussian(0.25), cs, 0.0, 1e-3, SolverConfig(dt=1e-3))
+
+    def test_each_iterate_evaluates_the_fields_once(self):
+        calls = []
+
+        def b(t, X, mu):
+            calls.append(t)
+            return -density_at(mu, X[:, 0])[:, None]
+
+        n = self.one_step(b).log.picard_iterations_max
+        assert 1 <= n < MAX_PICARD
+        # the left end once, then the right end on each new iterate
+        assert calls == [0.0] + [1e-3] * n
+
+    def test_unconverged_iteration_raises_after_max_picard(self):
+        calls = []
+
+        def b(t, X, mu):
+            # the drift flips on every evaluation, so no iterate is a fixed point
+            calls.append(t)
+            return np.full((len(X), 1), 5.0 * (-1) ** len(calls))
+
+        with pytest.raises(NonlinearSolveError, match="Picard"):
+            self.one_step(b)
+        assert len(calls) == MAX_PICARD + 2
+
+
 class TestWeakResidual:
     def test_heat_weak_formulation(self):
         coeffs = heat_coefficients(1, 1.0)
@@ -124,7 +159,7 @@ class TestWeakResidual:
         nu0 = gaussian(0.5, -1.0)
         flow = solve_nonlinear_fpe(u0, cs, 0.0, 1.0, SolverConfig(dt=1e-3))
         frozen = solve_frozen_fpe(nu0, flow, cs, SolverConfig(dt=1e-3), record_every=10)
-        r = fpe_weak_residual(frozen, cs, tanh_test(), flow=flow, bar=True)
+        r = fpe_weak_residual(frozen, cs, tanh_test(), flow=flow)
         assert np.abs(r).max() < 2e-3
 
 
@@ -136,6 +171,29 @@ class TestPathContainer:
             path.state_at(0.055, tol=1e-6)
         st = path.state_at(0.05, tol=1e-9)
         assert st.mass() == pytest.approx(1.0, abs=1e-10)
+
+    def test_frozen_runs_along_a_thinned_flow_raise(self):
+        # records every 10 steps: the frozen steps in between have no record
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        flow = solve_nonlinear_fpe(gaussian(0.25), cs, 0.0, 0.05, SolverConfig(dt=1e-3),
+                                   record_every=10)
+        with pytest.raises(ValueError, match="no record"):
+            flow.state_at(0.011)
+        with pytest.raises(ValueError, match="no record"):
+            solve_frozen_fpe(gaussian(0.5, -1.0), flow, cs, SolverConfig(dt=1e-3))
+        with pytest.raises(ValueError, match="no record"):
+            simulate_frozen(np.zeros((10, 1)), flow, cs, 0.0, 0.05, SimConfig(dt=1e-3, seed=0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.floats(-5.0, 5.0), st.floats(1e-4, 0.1), st.integers(1, 200), st.floats(0.01, 1.0))
+    def test_step_ends_hit_their_records(self, s, dt, n, last):
+        steps = _time_steps(s, s + (n - 1 + last) * dt, dt)
+        times = np.array([s] + [t_next for _, _, t_next in steps])
+        for k, (t, h, _) in enumerate(steps):
+            assert _record_index(times, s + k * dt) == k
+            assert _record_index(times, t + h) == k + 1
+            with pytest.raises(ValueError, match="no record"):
+                _record_index(times, t + h / 2)
 
     def test_csv_and_manifest(self):
         path = solve_nonlinear_fpe(gaussian(0.25), heat_coefficients(1, 1.0), 0.0, 0.01,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 from mvlab import presets
 from mvlab.measures import (
@@ -24,6 +23,7 @@ from mvlab.measures import (
     w2_to_quantile,
     wasserstein2,
 )
+from tests_helpers import lp_w2sq
 
 
 def gaussian_grid(mean=0.0, var=1.0, x_min=-10.0, dx=0.01, n=2000):
@@ -99,25 +99,6 @@ class TestGridDensity1D:
         assert density_at(g, np.array([-50.0, 50.0])).tolist() == [0.0, 0.0]
 
 
-def _brute_force_w2sq(mu, nu):
-    """Exact optimal transport cost by linear programming."""
-    n, m = mu.n_atoms, nu.n_atoms
-    d2 = ((mu.points[:, None, :] - nu.points[None, :, :]) ** 2).sum(-1).ravel()
-    A_eq = []
-    for i in range(n):
-        row = np.zeros((n, m))
-        row[i, :] = 1
-        A_eq.append(row.ravel())
-    for j in range(m):
-        row = np.zeros((n, m))
-        row[:, j] = 1
-        A_eq.append(row.ravel())
-    b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(d2, A_eq=np.array(A_eq), b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.success
-    return res.fun
-
-
 @st.composite
 def small_cloud(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -139,7 +120,7 @@ class TestWasserstein:
     @given(small_cloud(), small_cloud())
     def test_exact1d_matches_lp(self, mu, nu):
         w2 = wasserstein2(mu, nu)
-        lp = _brute_force_w2sq(mu, nu)
+        lp = lp_w2sq(mu, nu)
         # the monotone coupling is optimal, so it can only undercut the LP
         # solver's vertex tolerance, never exceed it
         assert w2**2 <= lp + 1e-9

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ def test_writes_valid_svg(tmp_path):
     x = np.linspace(0, 1, 20)
     line_plot([("one", x, np.sin(x)), ("two", x, np.cos(x))], f,
               title="t", xlabel="x", ylabel="y")
-    text = open(f).read()
+    text = Path(f).read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 2
@@ -23,7 +24,7 @@ def test_bitwise_deterministic(tmp_path):
     fa, fb = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     line_plot([("s", x, y)], fa, logy=True)
     line_plot([("s", x, y)], fb, logy=True)
-    assert open(fa, "rb").read() == open(fb, "rb").read()
+    assert Path(fa).read_bytes() == Path(fb).read_bytes()
 
 
 def test_empty_series_rejected(tmp_path):
