@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .coefficients import CoefficientSet
 from .measures import GridDensity1D, InnerTest
@@ -46,7 +47,7 @@ MASS_STEP_TOL = 1e-12
 CFL_SAFETY = 0.9  # explicit steps stay below this fraction of the CFL bound
 MAX_PICARD = 20  # Picard iterations per nonlinear semi-implicit step
 PICARD_TOL = 1e-10  # max-norm step residual that ends the Picard iteration
-SPAN_SLACK = 1e-9  # how far a read may miss a record (relative) or a span (absolute)
+SPAN_SLACK = 1e-9  # how far a read may miss a record or its span (relative); covers() is absolute
 CLIP_FLOOR = -1e-13
 CLIP_BUDGET = 1e-6
 
@@ -170,23 +171,43 @@ def _explicit_step(u, a, v, dx, dt):
 
 
 def _fv_band(a, v, dx, dt, transpose=False):
-    """A = I + dt/dx * (flux divergence), or its transpose, in ``solve_banded``
-    layout. The one assembly of the implicit FV operator: the forward step
-    solves A u_new = u_old, the backward Kolmogorov step solves with A^T.
-    Columns of A sum to 1 (mass conservation) and A is an M-matrix
-    (positivity)."""
-    p, q = _interface_coeffs(a, v, dx)
-    c = dt / dx
+    """A = I + dt/dx * (flux divergence), or its transpose, in LAPACK band
+    layout (row 0 the superdiagonal from column 1, row 1 the diagonal, row 2
+    the subdiagonal up to column M-2). The one assembly of the implicit FV
+    operator: the forward step solves A u_new = u_old, the backward
+    Kolmogorov step solves with A^T. Columns of A sum to 1 (mass
+    conservation) and A is an M-matrix (positivity)."""
+    return _flux_band(*_interface_coeffs(a, v, dx), dt / dx, transpose)
+
+
+def _flux_band(p, q, c, transpose=False):
+    # ``_fv_band`` from interface coefficients already at hand (c = dt/dx)
     upper, lower = c * q, -c * p  # A[i, i+1] and A[i+1, i] across interface i
     if transpose:
         upper, lower = lower, upper
-    ab = np.zeros((3, a.shape[0]))
+    ab = np.zeros((3, p.shape[0] + 1))
     ab[0, 1:] = upper
     ab[1] = 1.0
     ab[1, :-1] += c * p
     ab[1, 1:] -= c * q
     ab[2, :-1] = lower
     return ab
+
+
+def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system in ``_fv_band`` layout with LAPACK
+    ``gtsv``: the call, and so the bits, of SciPy's banded solver for a
+    (1, 1) band, without its wrapper. Raises ``ValueError`` for a non-finite
+    band or right-hand side and ``LinAlgError`` for a singular system.
+    Neither argument is modified."""
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if ab.shape[1] == 1:
+        return rhs / ab[1]
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def _check_cfl(a, v, dx, dt):
@@ -255,12 +276,14 @@ def _record_index(times: np.ndarray, t: float, tol: float | None = None) -> int:
     """Index of the record at time t, the one lookup of a recorded flow.
     The read must hit a record up to a relative ``SPAN_SLACK``; an explicit
     ``tol`` accepts the nearest record within tol instead. Raises
-    ``ValueError`` when t lies outside [times[0], times[-1]] by more than
-    ``SPAN_SLACK``, or when no record is close enough."""
-    if not times[0] - SPAN_SLACK <= t <= times[-1] + SPAN_SLACK:
+    ``ValueError`` when t lies outside [times[0], times[-1]] by more than a
+    relative ``SPAN_SLACK`` (the slack by which ``_time_steps`` lets a full
+    last step overshoot its end), or when no record is close enough."""
+    slack = SPAN_SLACK * max(1.0, abs(t))
+    if not times[0] - slack <= t <= times[-1] + slack:
         raise ValueError(f"t={t} lies outside the recorded span [{times[0]}, {times[-1]}]")
     if tol is None:
-        tol = SPAN_SLACK * max(1.0, abs(t))
+        tol = slack
     i = int(np.argmin(np.abs(times - t)))
     if abs(times[i] - t) > tol:
         raise ValueError(f"no record within {tol} of t={t}")
@@ -301,25 +324,26 @@ def _march(
             u_new = _explicit_step(u, a, v, dx, dt)
         elif linear:
             a, v = fields_at(t + dt, None)
-            u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
+            u_new = _solve(_fv_band(a, v, dx, dt), u)
         else:
-            a, v = fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx))
+            p, q = _interface_coeffs(*fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx)), dx)
             for it in range(MAX_PICARD + 1):
-                u_new = solve_banded((1, 1), _fv_band(a, v, dx, dt), u)
-                a, v = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
-                resid = u_new - u + dt / dx * _flux_divergence(u_new, a, v, dx)
+                u_new = _solve(_flux_band(p, q, dt / dx), u)
+                fields = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
+                p, q = _interface_coeffs(*fields, dx)
+                resid = u_new - u + dt / dx * _flux_divergence(u_new, p, q)
                 resid = float(np.max(np.abs(resid)))
                 if resid <= PICARD_TOL:
                     break
             log.picard_iterations_max = max(log.picard_iterations_max, min(it + 1, MAX_PICARD))
-            if resid > 1e3 * PICARD_TOL:
+            if not resid <= 1e3 * PICARD_TOL:
                 raise NonlinearSolveError(
                     f"Picard iteration did not converge at t={t:g} "
                     f"(residual {resid:.3e} after {MAX_PICARD} iterations)"
                 )
         drift = abs(u_new.sum() - mass0)
         log.max_mass_drift = max(log.max_mass_drift, drift)
-        if drift > MASS_STEP_TOL:
+        if not drift <= MASS_STEP_TOL:  # NaN fails too
             raise NonlinearSolveError(f"mass drift {drift:.3e} exceeds {MASS_STEP_TOL:g} at t={t:g}")
         if float(u_new.min()) < CLIP_FLOOR:
             # genuine scheme failure, not roundoff
@@ -335,8 +359,7 @@ def _march(
     return path
 
 
-def _flux_divergence(u, a, v, dx):
-    p, q = _interface_coeffs(a, v, dx)
+def _flux_divergence(u, p, q):
     G = p * u[:-1] + q * u[1:]
     out = np.zeros_like(u)
     out[:-1] += G
@@ -433,7 +456,7 @@ def solve_backward_kolmogorov(
             ab[1] -= dt * np.asarray(potential(r, centers2d, mu_r), dtype=float)
         if source is not None:
             w = w + dt * np.asarray(source(r, centers2d, mu_r), dtype=float)
-        w = solve_banded((1, 1), ab, w)
+        w = _solve(ab, w)
     return w
 
 

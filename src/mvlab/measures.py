@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -83,7 +84,7 @@ class EmpiricalMeasure:
             raise ValueError("need at least one atom")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
+        if not abs(w.sum() - 1.0) <= WEIGHT_TOL:  # NaN fails too
             raise ValueError(f"weights sum to {w.sum()!r}, not 1")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -160,11 +161,11 @@ class GridDensity1D:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
-        if self.dx <= 0:
+        if not self.dx > 0:
             raise ValueError("dx must be positive")
         if np.any(v < 0):
             raise ValueError("density values must be nonnegative")
-        if abs(self.dx * v.sum() - 1.0) > MASS_TOL:
+        if not abs(self.dx * v.sum() - 1.0) <= MASS_TOL:  # NaN fails too
             raise ValueError(f"total mass {self.dx * v.sum()!r} is not 1")
         object.__setattr__(self, "values", v)
 
@@ -178,7 +179,8 @@ class GridDensity1D:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.x_min + self.dx * (np.arange(self.n_cells) + 0.5)
+        """Cell centers, read-only and shared by every density on this grid."""
+        return _grid_centers(self.x_min, self.dx, self.n_cells)
 
     @property
     def dim(self) -> int:
@@ -239,6 +241,15 @@ class GridDensity1D:
         x = rows[:, 0]
         dx = x[1] - x[0]
         return cls(x[0] - dx / 2, dx, rows[:, 1])
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_centers(x_min: float, dx: float, n_cells: int) -> np.ndarray:
+    # keyed by grid, not by density: Picard iterates and flow records are
+    # distinct objects on one grid
+    centers = x_min + dx * (np.arange(n_cells) + 0.5)
+    centers.flags.writeable = False
+    return centers
 
 
 def density_at(mu, x) -> np.ndarray:
@@ -515,7 +526,6 @@ def kde_density(
         raise ValueError("kde_density requires dim == 1")
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    centers = x_min + dx * (np.arange(n_cells) + 0.5)
     x = mu.points[:, 0]
     lo, hi = x_min + 5 * bandwidth, x_min + n_cells * dx - 5 * bandwidth
     outside = float(mu.weights[(x < lo) | (x > hi)].sum())
@@ -524,7 +534,7 @@ def kde_density(
             f"grid too small: mass {outside:.3e} lies within 5 bandwidths of the edge"
         )
     if method == "exact":
-        z = (centers[:, None] - x[None, :]) / bandwidth
+        z = (_grid_centers(x_min, dx, n_cells)[:, None] - x[None, :]) / bandwidth
         dens = (np.exp(-0.5 * z**2) / (bandwidth * np.sqrt(2 * np.pi))) @ mu.weights
     elif method == "binned":
         # split each atom's weight between its two neighboring cell centers

@@ -2,9 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
 from mvlab.coefficients import CoefficientSet, heat_coefficients, meanfield_ou_coefficients
 from mvlab.fpe import (
@@ -15,6 +15,7 @@ from mvlab.fpe import (
     SolverConfig,
     _fv_band,
     _record_index,
+    _solve,
     _time_steps,
     fpe_weak_residual,
     solve_backward_kolmogorov,
@@ -53,6 +54,21 @@ class TestHeatOracle:
                 gaussian(0.1), heat_coefficients(1, 1.0), 0.0, 0.1,
                 SolverConfig(dt=1e-3, scheme="explicit"),
             )
+
+    def test_explicit_nan_drift_raises_at_its_step(self):
+        nan_at = []
+
+        def b(t, X, mu):
+            if t > 0.005:
+                nan_at.append(t)
+                return np.full_like(X, np.nan)
+            return -X
+
+        cs = CoefficientSet(b=b, sigma=heat_coefficients(1, 1.0).sigma)
+        with pytest.raises(NonlinearSolveError) as err:
+            solve_nonlinear_fpe(gaussian(0.5), cs, 0.0, 0.01, SolverConfig(dt=2e-5, scheme="explicit"))
+        assert len(nan_at) == 1
+        assert str(err.value) == f"mass drift nan exceeds 1e-12 at t={nan_at[0]:g}"
 
 
 class TestMeanFieldOU:
@@ -186,6 +202,7 @@ class TestPathContainer:
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(-5.0, 5.0), st.floats(1e-4, 0.1), st.integers(1, 200), st.floats(0.01, 1.0))
+    @example(2.0, 1e-4, 2, 0.99999)  # a full last step that overshoots its end by 1e-9 at |t| = 2
     def test_step_ends_hit_their_records(self, s, dt, n, last):
         steps = _time_steps(s, s + (n - 1 + last) * dt, dt)
         times = np.array([s] + [t_next for _, _, t_next in steps])
@@ -248,6 +265,35 @@ class TestFVOperator:
         A = _dense(ab)
         assert np.array_equal(_dense(abt), A.T)
         assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 64), st.data())
+    def test_solve_is_solve_banded(self, m, data):
+        def vec(lo, hi):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=m, max_size=m)))
+
+        a, v, rhs = vec(1e-3, 2.0), vec(-2.0, 2.0), vec(-1.0, 1.0)
+        dx, dt = data.draw(st.floats(0.005, 0.5)), data.draw(st.floats(1e-5, 1e-1))
+        ab = _fv_band(a, v, dx, dt, transpose=data.draw(st.booleans()))
+        expected = solve_banded((1, 1), ab, rhs)
+        band, right = ab.copy(), rhs.copy()
+        assert _solve(ab, rhs).tobytes() == expected.tobytes()
+        assert np.array_equal(ab, band) and np.array_equal(rhs, right)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 0), (2, 0), None])
+    def test_solve_rejects_non_finite_input(self, bad, where):
+        ab, rhs = _fv_band(np.ones(5), np.zeros(5), 0.1, 1e-3), np.ones(5)
+        if where is None:
+            rhs[2] = bad
+        else:
+            ab[where] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve(ab, rhs)
+
+    def test_solve_rejects_singular_band(self):
+        with pytest.raises(LinAlgError, match="singular"):
+            _solve(np.zeros((3, 5)), np.ones(5))
 
     @pytest.mark.parametrize("s, t_end, n, last", [
         (0.0, 1.0, 500, 2e-3), (0.4, 1.0, 300, 2e-3), (0.0, 0.5007, 251, 7e-4), (0.3, 0.3, 0, None),

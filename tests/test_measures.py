@@ -39,6 +39,10 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.zeros((2, 1)), np.array([1.5, -0.5]))
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="sum"):
+            EmpiricalMeasure(np.zeros((2, 1)), np.array([1.0, np.nan]))
+
     def test_moments(self):
         pts = np.array([[0.0], [2.0]])
         mu = EmpiricalMeasure(pts, np.array([0.25, 0.75]))
@@ -74,6 +78,21 @@ class TestGridDensity1D:
         v = np.array([2.0, -0.5, 8.5])
         with pytest.raises(ValueError):
             GridDensity1D(0.0, 0.1, v)
+
+    def test_nan_values_rejected(self):
+        with pytest.raises(ValueError, match="mass"):
+            GridDensity1D(0.0, 0.1, np.array([5.0, np.nan, 5.0]))
+        with pytest.raises(ValueError, match="dx"):
+            GridDensity1D(0.0, np.nan, np.array([5.0, 5.0]))
+
+    def test_centers_are_shared_and_read_only(self):
+        g = gaussian_grid(mean=0.3)
+        expected = g.x_min + g.dx * (np.arange(g.n_cells) + 0.5)
+        assert g.centers.tobytes() == expected.tobytes()
+        # another density on the same grid reads the same array
+        assert gaussian_grid(mean=-0.3).centers is g.centers
+        with pytest.raises(ValueError, match="read-only"):
+            g.centers[0] = 0.0
 
     def test_moments_match_gaussian(self):
         g = gaussian_grid(mean=1.3, var=0.7)
