@@ -143,6 +143,8 @@ def validate_config(cfg: dict) -> None:
     if fam["family"] not in ("heat", "meanfield-ou", "nldbm-arctan"):
         raise ConfigError(f"coefficients: unknown family {fam['family']!r}")
     _require_keys(cfg["numerics"], _NUMERICS_KEYS, (), "numerics")
+    if cfg["numerics"].get("record_every", 1) < 1:
+        raise ConfigError("numerics: record_every must be >= 1")
     for key in ("initial", "initial_frozen"):
         if key in cfg:
             _require_keys(cfg[key], _INITIAL_KEYS, ("kind",), key)
@@ -206,7 +208,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     if experiment == "solve-fpe":
         u0 = _initial_grid(cfg.get("initial"), x_min, dx, M)
         path = solve_nonlinear_fpe(u0, coeffs, 0.0, num["horizon"], solver_cfg,
-                                   record_every=max(num["record_every"], 1))
+                                   record_every=num["record_every"])
         final = path.states[-1]
         _write_csv(os.path.join(out_dir, "results.csv"),
                    ["x", "u"], [final.centers, final.values])
@@ -225,7 +227,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
                       bandwidth=num["bandwidth"] if num["bandwidth"] > 0 else "silverman")
         ens = simulate_mckean_vlasov(
             x0, coeffs, 0.0, num["horizon"],
-            SimConfig(dt=num["dt"], seed=seed, record_every=max(num["record_every"], 1), kde=kde),
+            SimConfig(dt=num["dt"], seed=seed, record_every=num["record_every"], kde=kde),
         )
         mu_T = ens.marginal(len(ens.times) - 1)
         _write_csv(os.path.join(out_dir, "results.csv"),
@@ -241,7 +243,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         nu0 = _initial_grid(cfg.get("initial_frozen"), x_min, dx, M)
         flow = solve_nonlinear_fpe(u0, coeffs, 0.0, num["horizon"], solver_cfg)
         frozen = solve_frozen_fpe(nu0, flow, coeffs, solver_cfg,
-                                  record_every=max(num["record_every"], 1))
+                                  record_every=num["record_every"])
         ts, l1s, w2s = [], [], []
         for t, st in zip(frozen.times, frozen.states):
             ref = flow.state_at(t)

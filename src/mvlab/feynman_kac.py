@@ -93,6 +93,7 @@ def fk_evaluate_mc(
     if flow is None:
         flow = _flow_for(problem, t, mu, cfg)
     x = np.asarray(x, dtype=float).reshape(1, problem.coeffs.d)
+    frozen = problem.coeffs.frozen
     weight = np.ones(n_particles)
     accum = np.zeros(n_particles)
 
@@ -103,10 +104,7 @@ def fk_evaluate_mc(
             accum += weight * np.asarray(problem.source(r, X, mu_r), dtype=float) * h
         if problem.potential is not None:
             weight *= np.exp(np.asarray(problem.potential(r, X, mu_r), dtype=float) * h)
-        return (
-            np.asarray(problem.coeffs.b_bar(r, X, mu_r), dtype=float),
-            np.asarray(problem.coeffs.sigma_bar(r, X, mu_r), dtype=float),
-        )
+        return frozen.fields(r, X, mu_r)
 
     # record_every beyond the step count keeps only the start and the end
     ens = _simulate(np.tile(x, (n_particles, 1)), t, problem.horizon,
@@ -175,9 +173,7 @@ def l_derivative_fd(F, mu, phi, eps: float = 1e-5) -> float:
     For cylindrical F this equals the L^2(mu) pairing of the intrinsic
     gradient of F at mu with the direction field phi.
     """
-    Fp = F.evaluate(pushforward(mu, phi, eps)) if hasattr(F, "evaluate") else F(pushforward(mu, phi, eps))
-    Fm = F.evaluate(pushforward(mu, phi, -eps)) if hasattr(F, "evaluate") else F(pushforward(mu, phi, -eps))
-    return float((Fp - Fm) / (2 * eps))
+    return float((F(pushforward(mu, phi, eps)) - F(pushforward(mu, phi, -eps))) / (2 * eps))
 
 
 def pde_residual(
@@ -218,10 +214,9 @@ def pde_residual(
     ux = float(w0[i + 1] - w0[i - 1]) / (2 * mu.dx)
     uxx = float(w0[i + 1] - 2 * w0[i] + w0[i - 1]) / (mu.dx * mu.dx)
     X = np.array([[x]])
-    bbar = float(np.asarray(problem.coeffs.b_bar(t, X, mu), dtype=float)[0, 0])
-    sbar = np.asarray(problem.coeffs.sigma_bar(t, X, mu), dtype=float)[0]
-    abar = float((sbar @ sbar.T)[0, 0])
-    point_term = 0.5 * abar * uxx + bbar * ux
+    bbar, sbar = problem.coeffs.frozen.fields(t, X, mu)
+    abar = float((sbar[0] @ sbar[0].T)[0, 0])
+    point_term = 0.5 * abar * uxx + float(bbar[0, 0]) * ux
     V = (
         float(np.asarray(problem.potential(t, X, mu), dtype=float)[0])
         if problem.potential is not None

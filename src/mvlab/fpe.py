@@ -225,13 +225,10 @@ def _check_cfl(a, v, dx, dt):
         )
 
 
-def _eval_fields(coeffs: CoefficientSet, t: float, centers2d: np.ndarray, mu, bar: bool):
-    bfun = coeffs.b_bar if bar else coeffs.b
-    sfun = coeffs.sigma_bar if bar else coeffs.sigma
-    v = np.asarray(bfun(t, centers2d, mu), dtype=float)[:, 0]
-    s = np.asarray(sfun(t, centers2d, mu), dtype=float)
-    a = np.einsum("nij,nij->n", s, s)
-    return a, v
+def _eval_fields(coeffs: CoefficientSet, t: float, centers2d: np.ndarray, mu):
+    """Diffusion a = sigma sigma^T and drift v = b on the cell centers."""
+    b, s = coeffs.fields(t, centers2d, mu)
+    return np.einsum("nij,nij->n", s, s), b[:, 0]
 
 
 def _clip_and_log(u, log: ConservationLog) -> np.ndarray:
@@ -284,7 +281,14 @@ def _record_index(times: np.ndarray, t: float, tol: float | None = None) -> int:
         raise ValueError(f"t={t} lies outside the recorded span [{times[0]}, {times[-1]}]")
     if tol is None:
         tol = slack
-    i = int(np.argmin(np.abs(times - t)))
+    # the nearest of the two records around t, ties to the lower index as
+    # argmin(|times - t|) would break them
+    i = int(np.searchsorted(times, t))  # times[i - 1] < t <= times[i]
+    if i == len(times) or (i > 0 and t - times[i - 1] <= times[i] - t):
+        i -= 1
+        # rounding can leave earlier records exactly as far from t
+        while i > 0 and t - times[i - 1] == t - times[i]:
+            i -= 1
     if abs(times[i] - t) > tol:
         raise ValueError(f"no record within {tol} of t={t}")
     return i
@@ -309,6 +313,8 @@ def _march(
     on the new iterate and stops once the step residual is below
     ``PICARD_TOL``; after ``MAX_PICARD`` re-solves a residual above
     1e3 ``PICARD_TOL`` raises ``NonlinearSolveError``."""
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     dx = u0.dx
     u = u0.values * dx  # work with cell masses; conservation is then telescoping
     mass0 = u.sum()
@@ -382,7 +388,7 @@ def solve_nonlinear_fpe(
     centers2d = u0.centers[:, None]
 
     def fields_at(t, view):
-        return _eval_fields(coeffs, t, centers2d, view, bar=False)
+        return _eval_fields(coeffs, t, centers2d, view)
 
     return _march(u0, s, t_end, cfg, fields_at, record_every)
 
@@ -398,21 +404,22 @@ def _check_flow(flow: DensityPath, grid: GridDensity1D, s: float, t_end: float, 
 def solve_frozen_fpe(
     nu0: GridDensity1D,
     flow: DensityPath,
-    coeffs_bar: CoefficientSet,
+    coeffs: CoefficientSet,
     cfg: SolverConfig,
     s: float | None = None,
     t_end: float | None = None,
     record_every: int = 1,
 ) -> DensityPath:
-    """March the linear equation whose coefficients see the stored flow."""
+    """March the linear equation of the frozen fields ``coeffs.frozen``,
+    which see the stored flow."""
     s = flow.t_start if s is None else s
     t_end = flow.t_end if t_end is None else t_end
     _check_flow(flow, nu0, s, t_end, "nu0")
     centers2d = nu0.centers[:, None]
+    frozen = coeffs.frozen
 
     def fields_at(t, view):
-        frozen = flow.state_at(t)
-        return _eval_fields(coeffs_bar, t, centers2d, frozen, bar=True)
+        return _eval_fields(frozen, t, centers2d, flow.state_at(t))
 
     return _march(nu0, s, t_end, cfg, fields_at, record_every, linear=True)
 
@@ -420,14 +427,15 @@ def solve_frozen_fpe(
 def solve_backward_kolmogorov(
     w_end: np.ndarray,
     flow: DensityPath,
-    coeffs_bar: CoefficientSet,
+    coeffs: CoefficientSet,
     cfg: SolverConfig,
     s: float,
     t_end: float,
     potential: Callable | None = None,
     source: Callable | None = None,
 ) -> np.ndarray:
-    """Solve the backward Kolmogorov equation of the frozen dynamics,
+    """Solve the backward Kolmogorov equation of the frozen dynamics
+    ``coeffs.frozen``,
 
         d_r w + 1/2 a w'' + v w' + V w + f = 0 on [s, t_end],  w(t_end) = w_end,
 
@@ -447,10 +455,11 @@ def solve_backward_kolmogorov(
     if w.shape != (grid.n_cells,):
         raise ValueError(f"w_end has shape {w.shape}, the flow grid has {grid.n_cells} cells")
     centers2d = grid.centers[:, None]
+    frozen = coeffs.frozen
     for t, dt, _ in reversed(_time_steps(s, t_end, cfg.dt)):
         r = t + dt
         mu_r = flow.state_at(r)
-        a, v = _eval_fields(coeffs_bar, r, centers2d, mu_r, bar=True)
+        a, v = _eval_fields(frozen, r, centers2d, mu_r)
         ab = _fv_band(a, v, grid.dx, dt, transpose=True)
         if potential is not None:
             ab[1] -= dt * np.asarray(potential(r, centers2d, mu_r), dtype=float)
@@ -468,21 +477,19 @@ def fpe_weak_residual(
 ) -> np.ndarray:
     """Residual of the weak formulation at each recorded time:
 
-        mu_t(h) - mu_s(h) - int_s^t int (1/2 a h'' + v h') dmu_r dr
+        mu_t(h) - mu_s(h) - int_s^t int L h dmu_r dr
 
-    by trapezoidal quadrature over the recorded times. For frozen paths pass
-    the driving flow: the frozen fields (b_bar, sigma_bar) are then evaluated
-    on it.
+    with L the Kolmogorov operator ``CoefficientSet.generator``, by
+    trapezoidal quadrature over the recorded times. For frozen paths pass
+    the driving flow: L is then that of ``coeffs.frozen``, evaluated on it.
     """
     centers2d = path.states[0].centers[:, None]
-    hp = np.asarray(h.grad(centers2d), dtype=float)[:, 0]
-    hpp = np.asarray(h.hess(centers2d), dtype=float)[:, 0, 0]
+    gen_coeffs = coeffs if flow is None else coeffs.frozen
 
     def generator_integral(t, state):
-        mu_for_coeffs = flow.state_at(t) if flow is not None else state
-        a, v = _eval_fields(coeffs, t, centers2d, mu_for_coeffs, bar=flow is not None)
-        integrand = 0.5 * a * hpp + v * hp
-        return float(state.dx * np.dot(state.values, integrand))
+        mu_for_coeffs = state if flow is None else flow.state_at(t)
+        Lh = gen_coeffs.generator(t, centers2d, mu_for_coeffs, h)
+        return float(state.dx * np.dot(state.values, Lh))
 
     hv = np.asarray(h.h(centers2d), dtype=float)
     mu_h = np.array([float(st.dx * np.dot(st.values, hv)) for st in path.states])

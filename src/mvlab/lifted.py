@@ -50,9 +50,9 @@ class LiftedTestFunction:
     point_part: InnerTest
     measure_part: CylindricalFunction
 
-    def evaluate(self, x: np.ndarray, mu) -> np.ndarray:
+    def __call__(self, x: np.ndarray, mu) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self.point_part.h(x), dtype=float) * self.measure_part.evaluate(mu)
+        return np.asarray(self.point_part.h(x), dtype=float) * self.measure_part(mu)
 
 
 @dataclass(frozen=True)
@@ -64,39 +64,24 @@ class ProductLaw:
 
     def integrate(self, G) -> float:
         """int G d(nu x delta_mu) = int G(y, mu) nu(dy)."""
-        centers = self.point_law.centers[:, None]
-        vals = np.asarray(_eval_pair(G, centers, self.measure_atom), dtype=float)
+        vals = np.asarray(G(self.point_law.centers[:, None], self.measure_atom), dtype=float)
         return float(self.point_law.dx * np.dot(self.point_law.values, vals))
-
-
-def _eval_pair(G, x, mu):
-    if isinstance(G, LiftedTestFunction):
-        return G.evaluate(x, mu)
-    return G(x, mu)
 
 
 def apply_measure_generator(F: CylindricalFunction, coeffs: CoefficientSet, t: float, mu) -> float:
     """Generator of the measure coordinate on a cylindrical function
     F(mu) = f(mu(h_1), ..., mu(h_n)):
 
-        sum_i d_i f(...) * int [ 1/2 sigma sigma^T : hess h_i + b . grad h_i ] dmu
+        sum_i d_i f(...) * int L h_i dmu,
+
+    with L the Kolmogorov operator ``coeffs.generator`` of (b, sigma) at mu.
     """
     levels = np.array([mu.integrate(h.h) for h in F.inner])
     partials = np.atleast_1d(np.asarray(F.outer_grad(levels), dtype=float))
     total = 0.0
     for dfi, h in zip(partials, F.inner):
-        if dfi == 0.0:
-            continue
-
-        def Lh(X, h=h):
-            X = np.atleast_2d(X)
-            b = np.asarray(coeffs.b(t, X, mu), dtype=float)
-            a = coeffs.diffusion_matrix(t, X, mu)
-            grad = np.asarray(h.grad(X), dtype=float)
-            hess = np.asarray(h.hess(X), dtype=float)
-            return 0.5 * np.einsum("nij,nij->n", a, hess) + np.einsum("ni,ni->n", b, grad)
-
-        total += dfi * mu.integrate(Lh)
+        if dfi != 0.0:
+            total += dfi * mu.integrate(lambda X, h=h: coeffs.generator(t, X, mu, h))
     return total
 
 
@@ -104,20 +89,15 @@ def apply_lifted_generator(
     G: LiftedTestFunction, coeffs: CoefficientSet, t: float, x, mu
 ) -> float:
     """Sum of the frozen point generator acting on g and the measure
-    generator acting on F, for G(x, mu) = g(x) F(mu), at a single point x."""
+    generator acting on F, for G(x, mu) = g(x) F(mu), at a single point x:
+    both parts are the one Kolmogorov operator, of ``coeffs.frozen`` at x
+    and of ``coeffs`` under mu."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape != (1, coeffs.d):
         raise ValueError(f"x must be one point in R^{coeffs.d}, got shape {x.shape}")
     g = G.point_part
-    b = np.asarray(coeffs.b_bar(t, x, mu), dtype=float)
-    s = np.asarray(coeffs.sigma_bar(t, x, mu), dtype=float)
-    a = np.einsum("nik,njk->nij", s, s)
-    grad = np.asarray(g.grad(x), dtype=float)
-    hess = np.asarray(g.hess(x), dtype=float)
-    point_term = float(
-        (0.5 * np.einsum("nij,nij->n", a, hess) + np.einsum("ni,ni->n", b, grad))[0]
-    )
-    Fval = G.measure_part.evaluate(mu)
+    point_term = float(coeffs.frozen.generator(t, x, mu, g)[0])
+    Fval = G.measure_part(mu)
     gval = float(np.asarray(g.h(x), dtype=float)[0])
     return point_term * Fval + gval * apply_measure_generator(G.measure_part, coeffs, t, mu)
 
@@ -210,7 +190,7 @@ def chapman_kolmogorov_residual(
 
     mid = kernel_law(coeffs, s, r, x, zeta, cfg, flow=flow)
     ys, ws = _stratified_nodes(mid.point_law, quad_points)
-    g_t = _eval_pair(G, zeta.centers[:, None], flow.state_at(t))
+    g_t = G(zeta.centers[:, None], flow.state_at(t))
     w_r = solve_backward_kolmogorov(g_t, flow, coeffs, cfg, r, t)
     composed = float(np.dot(ws, np.interp(ys, zeta.centers, w_r)))
     return abs(direct - composed)
@@ -258,6 +238,6 @@ def measure_flow_derivative_residual(
     """
     mu_m = path.state_at(t - dt_fd)
     mu_p = path.state_at(t + dt_fd)
-    fd = (F.evaluate(mu_p) - F.evaluate(mu_m)) / (2 * dt_fd)
+    fd = (F(mu_p) - F(mu_m)) / (2 * dt_fd)
     gen = apply_measure_generator(F, coeffs, t, path.state_at(t))
     return fd, gen, abs(fd - gen)

@@ -34,7 +34,6 @@ __all__ = [
     "pushforward",
     "intrinsic_gradient",
     "grid_to_measure",
-    "moments",
     "density_at",
     "silverman_bandwidth",
 ]
@@ -299,7 +298,7 @@ class CylindricalFunction:
     def inner_values(self, mu) -> np.ndarray:
         return np.array([mu.integrate(t.h) for t in self.inner])
 
-    def evaluate(self, mu) -> float:
+    def __call__(self, mu) -> float:
         return float(self.outer(self.inner_values(mu)))
 
     @classmethod
@@ -569,8 +568,3 @@ def grid_to_measure(rho: GridDensity1D) -> EmpiricalMeasure:
     """Cell centers become atoms with weights values * dx."""
     w = rho.values * rho.dx
     return EmpiricalMeasure(rho.centers[:, None], w / w.sum())
-
-
-def moments(mu) -> tuple[np.ndarray, np.ndarray, float]:
-    """(mean vector, covariance matrix, second moment) of a measure."""
-    return np.atleast_1d(mu.mean()), np.atleast_2d(mu.cov()), mu.second_moment()

@@ -213,11 +213,7 @@ def simulate_mckean_vlasov(
     """Coefficients are closed over the evolving empirical law of the cloud."""
 
     def drift_diffusion(t, h, X):
-        mu = _law(X, cfg.kde)
-        return (
-            np.asarray(coeffs.b(t, X, mu), dtype=float),
-            np.asarray(coeffs.sigma(t, X, mu), dtype=float),
-        )
+        return coeffs.fields(t, X, _law(X, cfg.kde))
 
     return _simulate(x0, s, t_end, cfg, drift_diffusion, stream_indices)
 
@@ -225,13 +221,14 @@ def simulate_mckean_vlasov(
 def simulate_frozen(
     x0: np.ndarray,
     flow,
-    coeffs_bar: CoefficientSet,
+    coeffs: CoefficientSet,
     s: float,
     t_end: float,
     cfg: SimConfig,
     stream_indices: np.ndarray | None = None,
 ) -> PathEnsemble:
-    """Linear dynamics whose coefficients see a stored measure flow.
+    """Linear dynamics of the frozen fields ``coeffs.frozen``, which see a
+    stored measure flow.
 
     ``flow`` may be a grid-density path (``state_at``), a particle ensemble
     (``marginal_at``), or a callable t -> measure. Each step reads the law
@@ -245,12 +242,9 @@ def simulate_frozen(
         if not callable(flow):
             raise TypeError("flow must expose state_at, marginal_at, or be callable")
         flow_at = flow
+    frozen = coeffs.frozen
 
     def drift_diffusion(t, h, X):
-        mu = flow_at(t)
-        return (
-            np.asarray(coeffs_bar.b_bar(t, X, mu), dtype=float),
-            np.asarray(coeffs_bar.sigma_bar(t, X, mu), dtype=float),
-        )
+        return frozen.fields(t, X, flow_at(t))
 
     return _simulate(x0, s, t_end, cfg, drift_diffusion, stream_indices)

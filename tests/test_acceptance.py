@@ -369,18 +369,14 @@ def test_criterion_7_lifted_generator():
         Xm = positions_at(t - step)
         Xp = positions_at(t + step)
         Xt = positions_at(t)
-        Fp = F.evaluate(flow.state_at(t + step, tol=1e-6))
-        Fm = F.evaluate(flow.state_at(t - step, tol=1e-6))
+        Fp = F(flow.state_at(t + step, tol=1e-6))
+        Fm = F(flow.state_at(t - step, tol=1e-6))
         D = (g.h(Xp) * Fp - g.h(Xm) * Fm) / (2 * step)
         fd, se = float(D.mean()), float(D.std(ddof=1) / np.sqrt(n))
 
         mu_t = flow.state_at(t, tol=1e-6)
-        b = np.asarray(cs.b_bar(t, Xt, mu_t), dtype=float)
-        s = np.asarray(cs.sigma_bar(t, Xt, mu_t), dtype=float)
-        a = np.einsum("nik,njk->nij", s, s)
-        point = (0.5 * np.einsum("nij,nij->n", a, g.hess(Xt))
-                 + np.einsum("ni,ni->n", b, g.grad(Xt)))
-        gen = float(np.mean(point * F.evaluate(mu_t)
+        point = cs.frozen.generator(t, Xt, mu_t, g)
+        gen = float(np.mean(point * F(mu_t)
                             + g.h(Xt) * apply_measure_generator(F, cs, t, mu_t)))
         gaps.append(abs(fd - gen))
         tols.append(3 * (se + cfg.dt))

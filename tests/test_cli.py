@@ -60,6 +60,13 @@ def test_unknown_top_key_rejected(tmp_path):
     assert main(["validate", path]) == 1
 
 
+@pytest.mark.parametrize("record_every", [0, -5])
+def test_record_every_below_one_rejected(tmp_path, capsys, record_every):
+    path, _ = write_config(tmp_path, "rec.json", numerics={**SMALL, "record_every": record_every})
+    assert main(["validate", path]) == 1
+    assert "record_every" in capsys.readouterr().err
+
+
 def test_unknown_numerics_key_rejected():
     with pytest.raises(ConfigError, match="unknown keys"):
         validate_config({

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from mvlab.coefficients import (
     nldbm_coefficients,
     validate_hypotheses,
 )
-from mvlab.measures import EmpiricalMeasure, kde_density
-from mvlab.presets import arctan_params, gaussian_grid
+from mvlab.measures import EmpiricalMeasure, InnerTest, kde_density
+from mvlab.presets import arctan_params, cos_test, gaussian_grid
+from tests_helpers import square_test
 
 
 class TestNLDBMParams:
@@ -72,7 +75,7 @@ class TestCoefficientSets:
         cs = nldbm_coefficients(p)
         mu = gaussian_grid(0.25)
         X = np.array([[0.0]])
-        a = cs.diffusion_matrix(0.0, X, mu)[0, 0, 0]
+        a = cs.generator(0.0, X, mu, square_test())[0]  # L(x^2)(0) = a(0)
         u = mu.density_at(np.array([0.0]))[0]
         assert a == pytest.approx(p.diffusion_ratio(np.array([u]))[0])
 
@@ -97,7 +100,35 @@ class TestCoefficientSets:
         cs = heat_coefficients(1, 2.0)
         X = np.array([[3.0]])
         assert cs.b(0.0, X, None)[0, 0] == 0.0
-        assert cs.diffusion_matrix(0.0, X, None)[0, 0, 0] == pytest.approx(2.0)
+        assert cs.generator(0.0, X, None, square_test())[0] == pytest.approx(2.0)
+
+    def test_frozen_is_the_bar_fields(self):
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        b_bar = lambda t, X, mu: -3.0 * np.atleast_2d(X)
+        frozen = replace(cs, b_bar=b_bar).frozen
+        assert (frozen.b, frozen.sigma, frozen.d) == (b_bar, cs.sigma, cs.d)
+        assert (frozen.b_bar, frozen.sigma_bar) == (b_bar, cs.sigma)
+        assert cs.frozen == cs
+
+    def test_generator_matches_closed_form(self):
+        # mean-field OU: L g = 1/2 sigma0^2 g'' + (-lambda0 x + kappa0 m) g'
+        cs, _ = meanfield_ou_coefficients(2.0, 0.5, 1.5)
+        mu = EmpiricalMeasure.from_atoms([1.0, 3.0])
+        X = np.array([[-0.4], [0.0], [1.3]])
+        x = X[:, 0]
+        expected = 0.5 * 1.5**2 * -np.cos(x) + (-2.0 * x + 0.5 * 2.0) * -np.sin(x)
+        np.testing.assert_allclose(cs.generator(0.0, X, mu, cos_test()), expected, rtol=1e-14)
+
+    def test_generator_in_two_dimensions(self):
+        # heat in R^2 on |x|^2: L = 1/2 tr(a hess) = diffusion * d
+        cs = heat_coefficients(2, 0.7)
+        sq = InnerTest(
+            lambda X: (X**2).sum(axis=1),
+            lambda X: 2 * X,
+            lambda X: np.broadcast_to(2 * np.eye(2), (X.shape[0], 2, 2)),
+        )
+        X = np.array([[1.0, -2.0], [0.5, 0.0]])
+        np.testing.assert_allclose(cs.generator(0.0, X, None, sq), [1.4, 1.4], rtol=1e-14)
 
 
 class TestHypothesisValidation:

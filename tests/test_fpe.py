@@ -9,6 +9,7 @@ from scipy.linalg import LinAlgError, solve_banded
 from mvlab.coefficients import CoefficientSet, heat_coefficients, meanfield_ou_coefficients
 from mvlab.fpe import (
     MAX_PICARD,
+    SPAN_SLACK,
     CFLError,
     DensityPath,
     NonlinearSolveError,
@@ -212,6 +213,33 @@ class TestPathContainer:
             with pytest.raises(ValueError, match="no record"):
                 _record_index(times, t + h / 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+           st.lists(st.floats(-1e3, 1e3), max_size=5),
+           st.one_of(st.none(), st.floats(0.0, 1e3)))
+    @example([0.0, 1e-17, 2.0], [1.0], 2.0)  # rounding makes records 0 and 1 equally far
+    def test_record_index_is_the_nearest_record(self, raw, extra, tol):
+        times = np.unique(np.array(raw))  # strictly increasing; -0.0 and 0.0 merge
+        slack = [SPAN_SLACK * max(1.0, abs(t)) for t in times[[0, -1]]]
+        queries = [*times, *extra, *(0.5 * (times[1:] + times[:-1])),
+                   *np.nextafter(times, np.inf), *np.nextafter(times, -np.inf),
+                   times[0] - 0.5 * slack[0], times[-1] + 0.5 * slack[1],
+                   times[0] - 2 * slack[0], times[-1] + 2 * slack[1]]
+        for t in queries:
+            assert _lookup(_record_index, times, t, tol) == _lookup(_argmin_index, times, t, tol)
+
+    @pytest.mark.parametrize("record_every", [0, -5])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_record_every_must_be_positive(self, record_every, frozen):
+        cs, cfg = heat_coefficients(1, 1.0), SolverConfig(dt=1e-3)
+        u0 = gaussian(0.25)
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
+            if frozen:
+                flow = solve_nonlinear_fpe(u0, cs, 0.0, 0.01, cfg)
+                solve_frozen_fpe(u0, flow, cs, cfg, record_every=record_every)
+            else:
+                solve_nonlinear_fpe(u0, cs, 0.0, 0.01, cfg, record_every=record_every)
+
     def test_csv_and_manifest(self):
         path = solve_nonlinear_fpe(gaussian(0.25), heat_coefficients(1, 1.0), 0.0, 0.01,
                                    SolverConfig(dt=1e-3), record_every=5)
@@ -235,6 +263,24 @@ class TestPathContainer:
         g = gaussian(0.25)
         with pytest.raises(ValueError):
             DensityPath(np.array([0.0, 0.0]), [g, g])
+
+
+def _argmin_index(times, t, tol=None):
+    """The nearest-record lookup as a full scan: ``_record_index``'s reference."""
+    slack = SPAN_SLACK * max(1.0, abs(t))
+    if not times[0] - slack <= t <= times[-1] + slack:
+        raise ValueError("outside the recorded span")
+    i = int(np.argmin(np.abs(times - t)))
+    if abs(times[i] - t) > (slack if tol is None else tol):
+        raise ValueError("no record")
+    return i
+
+
+def _lookup(index, times, t, tol):
+    try:
+        return index(times, t, tol)
+    except ValueError as exc:
+        return "outside" if "outside" in str(exc) else "no record"
 
 
 def _dense(ab):

@@ -65,7 +65,7 @@ class TestLiftedGenerator:
         # point part: 1/2 sigma0^2 g'' + b g'
         b = -1.0 * 0.7 + 0.5 * mu.mean()[0]
         point = 0.5 * (-np.cos(0.7)) + b * (-np.sin(0.7))
-        expected = point * F.evaluate(mu) + np.cos(0.7) * apply_measure_generator(F, cs, 0.0, mu)
+        expected = point * F(mu) + np.cos(0.7) * apply_measure_generator(F, cs, 0.0, mu)
         assert apply_lifted_generator(G, cs, 0.0, x, mu) == pytest.approx(expected, rel=1e-10)
         with pytest.raises(ValueError, match="one point"):
             apply_lifted_generator(G, cs, 0.0, np.array([[0.7], [0.2]]), mu)
@@ -133,7 +133,7 @@ class TestKernel:
         cfg = SolverConfig(dt=2e-3)
         G = LiftedTestFunction(cos_test(), linear_F(tanh_test()))
         flow = solve_nonlinear_fpe(zeta, cs, s, t, cfg)
-        w = fk_evaluate_grid(FKProblem(cs, t, terminal=G.evaluate), s, zeta, cfg, flow=flow)
+        w = fk_evaluate_grid(FKProblem(cs, t, terminal=G), s, zeta, cfg, flow=flow)
         for y in (-0.83, 0.5, 1.37):
             forward = kernel_evaluate(G, cs, s, t, y, zeta, cfg, flow=flow)
             assert abs(np.interp(y, zeta.centers, w) - forward) <= 1e-13

@@ -23,7 +23,7 @@ from mvlab.measures import (
     w2_to_quantile,
     wasserstein2,
 )
-from tests_helpers import lp_w2sq
+from tests_helpers import lp_w2sq, square_test
 
 
 def gaussian_grid(mean=0.0, var=1.0, x_min=-10.0, dx=0.01, n=2000):
@@ -243,22 +243,6 @@ class TestSamplingAndConversion:
         assert mu.second_moment() == pytest.approx(g.second_moment(), rel=1e-12)
 
 
-def _tanh_test():
-    return InnerTest(
-        lambda X: np.tanh(X[:, 0]),
-        lambda X: (1 - np.tanh(X[:, 0]) ** 2)[:, None],
-        lambda X: (-2 * np.tanh(X[:, 0]) * (1 - np.tanh(X[:, 0]) ** 2))[:, None, None],
-    )
-
-
-def _square_test():
-    return InnerTest(
-        lambda X: X[:, 0] ** 2,
-        lambda X: 2 * X[:, 0][:, None],
-        lambda X: np.full((X.shape[0], 1, 1), 2.0),
-    )
-
-
 class TestCylindrical:
     def test_pushforward_moves_atoms(self):
         mu = EmpiricalMeasure.from_atoms([0.0, 1.0])
@@ -267,7 +251,7 @@ class TestCylindrical:
         assert np.array_equal(nu.weights, mu.weights)
 
     def test_gradient_representation_independent(self):
-        h1, h2 = _tanh_test(), _square_test()
+        h1, h2 = presets.tanh_test(), square_test()
         # F(mu) = mu(tanh) + mu(x^2) written two ways
         F_a = CylindricalFunction(
             inner=(h1, h2),
@@ -287,7 +271,7 @@ class TestCylindrical:
         assert np.max(np.abs(ga - gb)) < 1e-10
 
     def test_linear_gradient_is_grad_h(self):
-        h = _square_test()
+        h = square_test()
         F = CylindricalFunction.linear(h.h, h.grad, h.hess)
         mu = EmpiricalMeasure.from_atoms([0.3, -0.7])
         pts = np.array([[1.5]])
