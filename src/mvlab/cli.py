@@ -29,12 +29,12 @@ from .coefficients import (
 )
 from .ergodicity import decay_study
 from .feynman_kac import FKProblem, fk_evaluate
-from .fpe import SolverConfig, solve_frozen_fpe, solve_nonlinear_fpe
-from .lifted import LiftedTestFunction, chapman_kolmogorov_residual
+from .fpe import SCHEMES, SolverConfig, solve_frozen_fpe, solve_nonlinear_fpe
+from .lifted import LiftedTestFunction, chapman_kolmogorov_residual, check_split
 from .measures import (
     CylindricalFunction,
-    FLOAT_FMT,
     GridDensity1D,
+    csv_table,
     grid_to_measure,
     intrinsic_gradient,
     sample_density,
@@ -60,50 +60,74 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_keys(d: dict, allowed: dict, required: tuple, context: str) -> None:
+# The accepted keys of each config section with their defaults. A key's
+# type is the type of its default, and an int is accepted for a float; a
+# required key's default only gives its type.
+TOP = {
+    "experiment": "", "seed": 0, "coefficients": {}, "numerics": {},
+    "initial": {}, "initial_frozen": {}, "terminal": "tanh", "output_dir": ".",
+}
+REQUIRED = ("experiment", "seed", "coefficients", "numerics")
+COEFFICIENTS = {
+    "heat": {"diffusion": 1.0},
+    "meanfield-ou": {"lambda0": 1.0, "kappa0": 0.5, "sigma0": 1.0},
+    "nldbm-arctan": {"C": 1.0, "alpha": 0.5},
+}
+NUMERICS = {
+    "dt": 1e-3, "dx": 1e-2, "x_min": -8.0, "n_cells": 1600, "n_particles": 10000,
+    "horizon": 1.0, "bandwidth": 0.0, "record_every": 1, "replicas": 1,
+    "checkpoints": 20, "quad_points": 64, "n_boot": 50, "scheme": "semi_implicit",
+    "tolerance": 0.0, "split_time": 0.0, "eval_time": 0.0, "eval_point": 0.5,
+    "potential": 0.0, "source": 0.0,
+}
+INITIAL = {"kind": "gaussian", "mean": 0.0, "var": 0.25}
+# ergodicity starts its two clouds on either side of the invariant law
+ERGODICITY_INITIAL = {"initial": {"mean": 4.0}, "initial_frozen": {"mean": -3.0, "var": 1.0}}
+TERMINALS = {
+    "tanh": lambda X, m: np.tanh(X[:, 0]),
+    "square": lambda X, m: X[:, 0] ** 2,
+    "identity": lambda X, m: X[:, 0],
+}
+# The smallest accepted value of a number: the smallest at which every
+# experiment that reads the key runs (n_boot and n_particles >= 2 for the
+# ddof=1 standard errors).
+BOUNDS = {
+    "dt": (">", 0), "dx": (">", 0), "horizon": (">", 0), "var": (">", 0),
+    "n_cells": (">=", 1), "n_particles": (">=", 2), "record_every": (">=", 1),
+    "replicas": (">=", 1), "checkpoints": (">=", 1), "quad_points": (">=", 1),
+    "n_boot": (">=", 2),
+}
+# the accepted values of a string
+CHOICES = {
+    "experiment": EXPERIMENTS, "scheme": SCHEMES, "kind": ("gaussian",),
+    "terminal": tuple(TERMINALS),
+}
+# experiments that need particular coefficient families
+FAMILIES = {"ergodicity": ("meanfield-ou",), "validate-hypotheses": ("meanfield-ou", "nldbm-arctan")}
+
+
+def _check(d: dict, table: dict, context: str, required: tuple = ()) -> dict:
+    """``d`` with the defaults of ``table`` filled in, or ``ConfigError`` on an
+    unknown, missing, mistyped or out-of-range key."""
     if not isinstance(d, dict):
         raise ConfigError(f"{context}: expected an object")
-    unknown = set(d) - set(allowed)
+    unknown = set(d) - set(table)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     missing = set(required) - set(d)
     if missing:
         raise ConfigError(f"{context}: missing keys {sorted(missing)}")
     for k, v in d.items():
-        typ = allowed[k]
-        if typ is float:
-            ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-        elif typ is int:
-            ok = isinstance(v, int) and not isinstance(v, bool)
-        else:
-            ok = isinstance(v, typ)
-        if not ok:
+        typ = type(table[k])
+        if isinstance(v, bool) or not isinstance(v, (int, float) if typ is float else typ):
             raise ConfigError(f"{context}: key {k!r} must be {typ.__name__}")
-
-
-_NUMERICS_KEYS = {
-    "dt": float,
-    "dx": float,
-    "x_min": float,
-    "n_cells": int,
-    "n_particles": int,
-    "horizon": float,
-    "bandwidth": float,
-    "record_every": int,
-    "replicas": int,
-    "checkpoints": int,
-    "quad_points": int,
-    "n_boot": int,
-    "scheme": str,
-    "tolerance": float,
-    "split_time": float,
-    "eval_time": float,
-    "eval_point": float,
-    "potential": float,
-    "source": float,
-}
-
-_INITIAL_KEYS = {"kind": str, "mean": float, "var": float}
+        if k in CHOICES and v not in CHOICES[k]:
+            raise ConfigError(f"{context}: {k} must be one of {list(CHOICES[k])}, got {v!r}")
+        if k in BOUNDS:
+            op, low = BOUNDS[k]
+            if not (v > low if op == ">" else v >= low):
+                raise ConfigError(f"{context}: {k} must be {op} {low}, got {v!r}")
+    return {**table, **d}
 
 
 def load_config(path: str) -> dict:
@@ -116,87 +140,68 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
-    top = {
-        "experiment": str,
-        "seed": int,
-        "coefficients": dict,
-        "numerics": dict,
-        "initial": dict,
-        "initial_frozen": dict,
-        "terminal": str,
-        "output_dir": str,
-    }
-    _require_keys(cfg, top, ("experiment", "seed", "coefficients", "numerics"), "config")
-    if cfg["experiment"] not in EXPERIMENTS:
+def _split_time(num: dict) -> float:
+    return num["split_time"] if num["split_time"] > 0 else num["horizon"] / 2
+
+
+def validate_config(cfg: dict) -> dict:
+    """The one check of a config: ``ConfigError`` on anything that
+    ``run_experiment`` would reject as a config. Returns the numerics with
+    their defaults filled in."""
+    _check(cfg, TOP, "config", REQUIRED)
+    experiment, fam = cfg["experiment"], cfg["coefficients"]
+    families = FAMILIES.get(experiment, tuple(COEFFICIENTS))
+    if fam.get("family") not in families:
         raise ConfigError(
-            f"config: experiment must be one of {list(EXPERIMENTS)}, got {cfg['experiment']!r}"
+            f"coefficients: family must be one of {list(families)} for {experiment}, "
+            f"got {fam.get('family')!r}"
         )
-    fam = cfg["coefficients"]
-    _require_keys(
-        fam,
-        {"family": str, "diffusion": float, "lambda0": float, "kappa0": float,
-         "sigma0": float, "C": float, "alpha": float},
-        ("family",),
-        "coefficients",
-    )
-    if fam["family"] not in ("heat", "meanfield-ou", "nldbm-arctan"):
-        raise ConfigError(f"coefficients: unknown family {fam['family']!r}")
-    _require_keys(cfg["numerics"], _NUMERICS_KEYS, (), "numerics")
-    if cfg["numerics"].get("record_every", 1) < 1:
-        raise ConfigError("numerics: record_every must be >= 1")
+    _check(fam, {"family": "", **COEFFICIENTS[fam["family"]]}, "coefficients")
+    num = _check(cfg["numerics"], NUMERICS, "numerics")
     for key in ("initial", "initial_frozen"):
         if key in cfg:
-            _require_keys(cfg[key], _INITIAL_KEYS, ("kind",), key)
-            if cfg[key]["kind"] != "gaussian":
-                raise ConfigError(f"{key}: only kind 'gaussian' is supported")
+            _check(cfg[key], INITIAL, key, ("kind",))
+    try:
+        _, extra = build_coefficients(fam)
+        if experiment == "ergodicity":
+            extra.require_contractive()
+    except ValueError as exc:
+        raise ConfigError(f"coefficients: {exc}") from exc
+    if experiment == "check-ck":
+        try:
+            check_split(0.0, _split_time(num), num["horizon"], SolverConfig(num["dt"], num["scheme"]))
+        except ValueError as exc:
+            raise ConfigError(f"numerics: split_time: {exc}") from exc
+    return num
 
 
 def build_coefficients(fam: dict):
     """Returns (CoefficientSet, MonotonicityConstants or NLDBMParams or None)."""
-    family = fam["family"]
-    if family == "heat":
-        return heat_coefficients(1, fam.get("diffusion", 1.0)), None
-    if family == "meanfield-ou":
-        cs, consts = meanfield_ou_coefficients(
-            fam.get("lambda0", 1.0), fam.get("kappa0", 0.5), fam.get("sigma0", 1.0)
-        )
-        return cs, consts
-    p = arctan_params(fam.get("C", 1.0), fam.get("alpha", 0.5))
+    c = {**COEFFICIENTS[fam["family"]], **fam}
+    if c["family"] == "heat":
+        return heat_coefficients(1, c["diffusion"]), None
+    if c["family"] == "meanfield-ou":
+        return meanfield_ou_coefficients(c["lambda0"], c["kappa0"], c["sigma0"])
+    p = arctan_params(c["C"], c["alpha"])
     return nldbm_coefficients(p), p
 
 
-def _numerics(cfg: dict) -> dict:
-    num = dict(
-        dt=1e-3, dx=1e-2, x_min=-8.0, n_cells=1600, n_particles=10000, horizon=1.0,
-        record_every=1, replicas=1, checkpoints=20, quad_points=64, n_boot=50,
-        scheme="semi_implicit", tolerance=0.0, split_time=0.0, eval_time=0.0,
-        eval_point=0.5, potential=0.0, source=0.0, bandwidth=0.0,
-    )
-    num.update(cfg["numerics"])
-    return num
-
-
 def _initial_grid(spec: dict | None, x_min: float, dx: float, M: int) -> GridDensity1D:
-    spec = spec or {"kind": "gaussian", "mean": 0.0, "var": 0.25}
-    return gaussian_grid(spec.get("var", 0.25), spec.get("mean", 0.0), x_min, dx, M)
+    law = {**INITIAL, **(spec or {})}
+    return gaussian_grid(law["var"], law["mean"], x_min, dx, M)
 
 
 def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        fh.write(text)
 
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
-    num = _numerics(cfg)
+    num = validate_config(cfg)
     coeffs, extra = build_coefficients(cfg["coefficients"])
     seed = cfg["seed"]
     experiment = cfg["experiment"]
@@ -210,8 +215,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         path = solve_nonlinear_fpe(u0, coeffs, 0.0, num["horizon"], solver_cfg,
                                    record_every=num["record_every"])
         final = path.states[-1]
-        _write_csv(os.path.join(out_dir, "results.csv"),
-                   ["x", "u"], [final.centers, final.values])
+        _write(os.path.join(out_dir, "results.csv"), final.to_csv())
         results["conservation"] = path.log.to_dict()
         results["final_mean"] = float(final.mean()[0])
         results["final_second_moment"] = final.second_moment()
@@ -230,8 +234,8 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             SimConfig(dt=num["dt"], seed=seed, record_every=num["record_every"], kde=kde),
         )
         mu_T = ens.marginal(len(ens.times) - 1)
-        _write_csv(os.path.join(out_dir, "results.csv"),
-                   ["x", "weight"], [mu_T.points[:, 0], mu_T.weights])
+        _write(os.path.join(out_dir, "results.csv"),
+               csv_table(["x", "weight"], [mu_T.points[:, 0], mu_T.weights]))
         results["final_mean"] = float(mu_T.mean()[0])
         results["final_second_moment"] = mu_T.second_moment()
         line_plot([("kde", mu_T.density.centers, mu_T.density.values)],
@@ -250,8 +254,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             ts.append(t)
             l1s.append(float(np.abs(st.values - ref.values).sum() * dx))
             w2s.append(wasserstein2(grid_to_measure(st), grid_to_measure(ref)))
-        _write_csv(os.path.join(out_dir, "results.csv"), ["t", "l1", "w2"],
-                   [np.array(ts), np.array(l1s), np.array(w2s)])
+        _write(os.path.join(out_dir, "results.csv"), csv_table(["t", "l1", "w2"], [ts, l1s, w2s]))
         results["final_l1"] = l1s[-1]
         results["final_w2"] = w2s[-1]
         line_plot([("L1", np.array(ts), np.array(l1s)), ("W2", np.array(ts), np.array(w2s))],
@@ -262,9 +265,8 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         h, g = tanh_test(), cos_test()
         G = LiftedTestFunction(g, CylindricalFunction.linear(h.h, h.grad, h.hess))
         zeta = _initial_grid(cfg.get("initial"), x_min, dx, M)
-        r = num["split_time"] if num["split_time"] > 0 else num["horizon"] / 2
         resid = chapman_kolmogorov_residual(
-            G, coeffs, 0.0, r, num["horizon"], num["eval_point"], zeta, solver_cfg,
+            G, coeffs, 0.0, _split_time(num), num["horizon"], num["eval_point"], zeta, solver_cfg,
             quad_points=num["quad_points"],
         )
         results["residual"] = resid
@@ -274,20 +276,17 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             code = 2
 
     elif experiment == "ergodicity":
-        if cfg["coefficients"]["family"] != "meanfield-ou":
-            raise ConfigError("ergodicity experiment requires the meanfield-ou family")
-        lam0 = cfg["coefficients"].get("lambda0", 1.0)
-        sig0 = cfg["coefficients"].get("sigma0", 1.0)
+        ou = {**COEFFICIENTS["meanfield-ou"], **cfg["coefficients"]}
         from scipy.stats import norm
 
-        scale = sig0 / np.sqrt(2 * lam0)
+        scale = ou["sigma0"] / np.sqrt(2 * ou["lambda0"])
         qfun = lambda p: norm.ppf(p, loc=0.0, scale=scale)
         rng = np.random.default_rng(seed)
-        init = cfg.get("initial") or {"kind": "gaussian", "mean": 4.0, "var": 0.25}
-        init_f = cfg.get("initial_frozen") or {"kind": "gaussian", "mean": -3.0, "var": 1.0}
+        init, init_f = ({**INITIAL, **ERGODICITY_INITIAL[k], **cfg.get(k, {})}
+                        for k in ("initial", "initial_frozen"))
         N = num["n_particles"]
-        x0mu = rng.normal(init.get("mean", 4.0), np.sqrt(init.get("var", 0.25)), (N, 1))
-        x0nu = rng.normal(init_f.get("mean", -3.0), np.sqrt(init_f.get("var", 1.0)), (N, 1))
+        x0mu = rng.normal(init["mean"], np.sqrt(init["var"]), (N, 1))
+        x0nu = rng.normal(init_f["mean"], np.sqrt(init_f["var"]), (N, 1))
         # checkpoints about horizon / (checkpoints - 1) apart, on the record grid
         rec = max(int(round(num["horizon"] / max(num["checkpoints"] - 1, 1) / num["dt"])), 1)
         cps = np.arange(num["checkpoints"]) * rec * num["dt"]
@@ -298,9 +297,9 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         )
         results.update(report.to_dict())
         results["envelope_holds"] = report.envelope_holds()
-        _write_csv(os.path.join(out_dir, "results.csv"),
-                   ["t", "w2_mu", "w2_nu", "envelope_sq"],
-                   [report.times, report.w2_mu, report.w2_nu, report.envelope_sq])
+        _write(os.path.join(out_dir, "results.csv"), csv_table(
+            ["t", "w2_mu", "w2_nu", "envelope_sq"],
+            [report.times, report.w2_mu, report.w2_nu, report.envelope_sq]))
         line_plot(
             [("observed", report.times, report.observed_sq()),
              ("envelope", report.times, report.envelope_sq)],
@@ -312,17 +311,9 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
     elif experiment == "feynman-kac":
         mu = _initial_grid(cfg.get("initial"), x_min, dx, M)
-        terminal_name = cfg.get("terminal", "tanh")
-        terms = {
-            "tanh": lambda X, m: np.tanh(X[:, 0]),
-            "square": lambda X, m: X[:, 0] ** 2,
-            "identity": lambda X, m: X[:, 0],
-        }
-        if terminal_name not in terms:
-            raise ConfigError(f"terminal must be one of {sorted(terms)}")
         Vc, fc = num["potential"], num["source"]
         prob = FKProblem(
-            coeffs, num["horizon"], terminal=terms[terminal_name],
+            coeffs, num["horizon"], terminal=TERMINALS[cfg.get("terminal", TOP["terminal"])],
             potential=(lambda t, X, m: np.full(X.shape[0], Vc)) if Vc != 0 else None,
             source=(lambda t, X, m: np.full(X.shape[0], fc)) if fc != 0 else None,
         )
@@ -361,13 +352,8 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
     elif experiment == "validate-hypotheses":
         rng = np.random.default_rng(seed)
-        family = cfg["coefficients"]["family"]
-        if family == "meanfield-ou":
-            report = validate_hypotheses((coeffs, extra), rng=rng)
-        elif family == "nldbm-arctan":
-            report = validate_hypotheses(extra, rng=rng)
-        else:
-            raise ConfigError("validate-hypotheses needs meanfield-ou or nldbm-arctan")
+        target = (coeffs, extra) if cfg["coefficients"]["family"] == "meanfield-ou" else extra
+        report = validate_hypotheses(target, rng=rng)
         results["margins"] = report.to_dict()
         results["passed"] = report.passed
         if not report.passed:
@@ -415,14 +401,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.seed is not None:
         cfg["seed"] = args.seed
-    out_dir = args.out or cfg.get("output_dir") or "."
+    out_dir = args.out or cfg.get("output_dir") or TOP["output_dir"]
     try:
         os.makedirs(out_dir, exist_ok=True)
         _manifest(cfg, out_dir)
         code = run_experiment(cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

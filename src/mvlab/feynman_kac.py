@@ -33,6 +33,7 @@ from .fpe import (
     DensityPath,
     SolverConfig,
     _check_flow,
+    _eval_fields,
     solve_backward_kolmogorov,
     solve_nonlinear_fpe,
 )
@@ -214,9 +215,8 @@ def pde_residual(
     ux = float(w0[i + 1] - w0[i - 1]) / (2 * mu.dx)
     uxx = float(w0[i + 1] - 2 * w0[i] + w0[i - 1]) / (mu.dx * mu.dx)
     X = np.array([[x]])
-    bbar, sbar = problem.coeffs.frozen.fields(t, X, mu)
-    abar = float((sbar[0] @ sbar[0].T)[0, 0])
-    point_term = 0.5 * abar * uxx + float(bbar[0, 0]) * ux
+    abar, vbar = _eval_fields(problem.coeffs.frozen, t, X, mu)
+    point_term = 0.5 * float(abar[0]) * uxx + float(vbar[0]) * ux
     V = (
         float(np.asarray(problem.potential(t, X, mu), dtype=float)[0])
         if problem.potential is not None

@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .coefficients import CoefficientSet
-from .measures import GridDensity1D, InnerTest
+from .measures import GridDensity1D, InnerTest, csv_table
 
 __all__ = [
     "DensityPath",
@@ -50,6 +50,7 @@ PICARD_TOL = 1e-10  # max-norm step residual that ends the Picard iteration
 SPAN_SLACK = 1e-9  # how far a read may miss a record or its span (relative); covers() is absolute
 CLIP_FLOOR = -1e-13
 CLIP_BUDGET = 1e-6
+SCHEMES = ("explicit", "semi_implicit")
 
 _total_clipped = 0.0
 
@@ -81,12 +82,12 @@ class ConservationLog:
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
-    scheme: str = "semi_implicit"  # or "explicit"
+    scheme: str = "semi_implicit"  # one of SCHEMES
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("explicit", "semi_implicit"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
@@ -122,11 +123,12 @@ class DensityPath:
         return self.t_start <= s + SPAN_SLACK and t <= self.t_end + SPAN_SLACK
 
     def to_csv(self) -> str:
-        lines = ["t,x,u"]
-        for t, st in zip(self.times, self.states):
-            for x, u in zip(st.centers, st.values):
-                lines.append(f"%.17g,%.17g,%.17g" % (t, x, u))
-        return "\n".join(lines) + "\n"
+        g, n = self.states[0], len(self.states)
+        return csv_table(["t", "x", "u"], [
+            np.repeat(self.times, g.n_cells),
+            np.tile(g.centers, n),
+            np.concatenate([st.values for st in self.states]),
+        ])
 
     def manifest(self) -> dict:
         g = self.states[0]

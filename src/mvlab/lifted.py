@@ -21,6 +21,7 @@ from .coefficients import CoefficientSet
 from .fpe import (
     DensityPath,
     SolverConfig,
+    _time_steps,
     solve_backward_kolmogorov,
     solve_frozen_fpe,
     solve_nonlinear_fpe,
@@ -35,6 +36,7 @@ __all__ = [
     "delta_on_grid",
     "kernel_law",
     "kernel_evaluate",
+    "check_split",
     "chapman_kolmogorov_residual",
     "heat_semigroup_ck_residual",
     "measure_flow_derivative_residual",
@@ -76,8 +78,7 @@ def apply_measure_generator(F: CylindricalFunction, coeffs: CoefficientSet, t: f
 
     with L the Kolmogorov operator ``coeffs.generator`` of (b, sigma) at mu.
     """
-    levels = np.array([mu.integrate(h.h) for h in F.inner])
-    partials = np.atleast_1d(np.asarray(F.outer_grad(levels), dtype=float))
+    partials = np.atleast_1d(np.asarray(F.outer_grad(F.inner_values(mu)), dtype=float))
     total = 0.0
     for dfi, h in zip(partials, F.inner):
         if dfi != 0.0:
@@ -160,6 +161,22 @@ def _stratified_nodes(nu: GridDensity1D, n_nodes: int) -> tuple[np.ndarray, np.n
     return nu.quantile(p), np.full(n_nodes, 1.0 / n_nodes)
 
 
+def check_split(s: float, r: float, t: float, cfg: SolverConfig) -> None:
+    """``ValueError`` unless the Chapman-Kolmogorov check can split [s, t]
+    at r: s < r < t, the semi-implicit scheme, and r at the end of a full
+    step of the march from s, where the shared flow holds a record."""
+    if not (s < r < t):
+        raise ValueError(f"need s < r < t, got s={s}, r={r}, t={t}")
+    if cfg.scheme != "semi_implicit":
+        raise ValueError("the Chapman-Kolmogorov check needs the semi_implicit scheme")
+    steps = _time_steps(s, r, cfg.dt)
+    if not steps or steps[-1][1] != cfg.dt:
+        raise ValueError(
+            f"r={r} is not on the step grid s + k*dt (s={s}, t={t}, dt={cfg.dt}): "
+            "the flow has no record at r"
+        )
+
+
 def chapman_kolmogorov_residual(
     G,
     coeffs: CoefficientSet,
@@ -181,10 +198,7 @@ def chapman_kolmogorov_residual(
     to roundoff. The sweep is the transposed semi-implicit step, so the
     explicit scheme is rejected rather than mixed with it.
     """
-    if not (s < r < t):
-        raise ValueError("need s < r < t")
-    if cfg.scheme != "semi_implicit":
-        raise ValueError("the Chapman-Kolmogorov check needs the semi_implicit scheme")
+    check_split(s, r, t, cfg)
     flow = solve_nonlinear_fpe(zeta, coeffs, s, t, cfg)
     direct = kernel_evaluate(G, coeffs, s, t, x, zeta, cfg, flow=flow)
 

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -36,6 +35,7 @@ __all__ = [
     "grid_to_measure",
     "density_at",
     "silverman_bandwidth",
+    "csv_table",
 ]
 
 WEIGHT_TOL = 1e-12
@@ -50,8 +50,11 @@ class MeasureViewError(ValueError):
     supplied measure object cannot provide."""
 
 
-def _fmt(v: float) -> str:
-    return FLOAT_FMT % v
+def csv_table(header: Sequence[str], columns: Sequence[Sequence[float]]) -> str:
+    """CSV text: the header line, then one line per row of the columns, every
+    value in ``FLOAT_FMT`` (round-trips a float exactly)."""
+    lines = [",".join(header)] + [",".join(FLOAT_FMT % v for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +136,8 @@ class EmpiricalMeasure:
         return self.points[order, 0], self.weights[order]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        cols = [f"x{i + 1}" for i in range(self.dim)] + ["weight"]
-        buf.write(",".join(cols) + "\n")
-        for p, w in zip(self.points, self.weights):
-            buf.write(",".join(_fmt(v) for v in p) + "," + _fmt(w) + "\n")
-        return buf.getvalue()
+        header = [f"x{i + 1}" for i in range(self.dim)] + ["weight"]
+        return csv_table(header, [*self.points.T, self.weights])
 
     @classmethod
     def from_csv(cls, text: str) -> "EmpiricalMeasure":
@@ -227,11 +226,7 @@ class GridDensity1D:
         return self.x_min + (idx + np.clip(frac, 0.0, 1.0)) * self.dx
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,u\n")
-        for x, u in zip(self.centers, self.values):
-            buf.write(_fmt(x) + "," + _fmt(u) + "\n")
-        return buf.getvalue()
+        return csv_table(["x", "u"], [self.centers, self.values])
 
     @classmethod
     def from_csv(cls, text: str) -> "GridDensity1D":

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from mvlab import cli
 from mvlab.cli import ConfigError, main, validate_config
 
 OU = {"family": "meanfield-ou", "lambda0": 1.0, "kappa0": 0.5, "sigma0": 1.0}
@@ -129,3 +130,56 @@ def test_rerun_bitwise_identical(tmp_path):
         a = Path(out_a, name).read_bytes()
         b = Path(out_b, name).read_bytes()
         assert a == b, name
+
+
+def test_readme_config_is_valid():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    example = section.split("```json", 1)[1].split("```", 1)[0]
+    validate_config(json.loads(example))
+
+
+def test_validate_fills_numerics_defaults():
+    num = validate_config({
+        "experiment": "solve-fpe", "seed": 1,
+        "coefficients": {"family": "heat"}, "numerics": {"dt": 2e-3, "n_cells": 10},
+    })
+    assert num == {**cli.NUMERICS, "dt": 2e-3, "n_cells": 10}
+
+
+def test_coefficient_key_of_another_family_rejected():
+    with pytest.raises(ConfigError, match="unknown keys.*lambda0"):
+        validate_config({
+            "experiment": "solve-fpe", "seed": 1,
+            "coefficients": {"family": "heat", "lambda0": 1.0}, "numerics": {},
+        })
+
+
+HEAT = {"family": "heat"}
+PROBE_NUMERICS = {"dt": 2e-3, "dx": 0.02, "n_cells": 800, "horizon": 0.05}
+
+
+# Configs that `mvlab run` rejects (or passes vacuously): `validate` must
+# reject each of them and name the key.
+@pytest.mark.parametrize("experiment, coefficients, numerics, top, key", [
+    ("solve-fpe", HEAT, {"dt": 0.0}, {}, "dt"),
+    ("solve-fpe", HEAT, {"n_cells": 0}, {}, "n_cells"),
+    ("solve-fpe", HEAT, {"horizon": -1.0}, {}, "horizon"),
+    ("solve-fpe", HEAT, {"scheme": "rk4"}, {}, "scheme"),
+    ("ergodicity", HEAT, {}, {}, "family"),
+    ("feynman-kac", HEAT, {}, {"terminal": "cube"}, "terminal"),
+    ("validate-hypotheses", HEAT, {}, {}, "family"),
+    ("gradient-check", HEAT, {"replicas": 0, "tolerance": 1e-30}, {}, "replicas"),
+    ("simulate-mkv", HEAT, {"n_particles": 0}, {}, "n_particles"),
+    ("check-ck", OU, {"horizon": 0.2, "quad_points": 0}, {}, "quad_points"),
+    ("check-ck", OU, {"horizon": 0.2, "split_time": 0.3}, {}, "split_time"),
+    ("check-ck", OU, {}, {}, "split_time"),
+], ids=[f"probe{i}" for i in range(1, 13)])
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, coefficients,
+                                          numerics, top, key):
+    path, _ = write_config(tmp_path, "probe.json", experiment=experiment,
+                           coefficients=coefficients,
+                           numerics={**PROBE_NUMERICS, **numerics}, **top)
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err

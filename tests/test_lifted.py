@@ -3,6 +3,7 @@ import pytest
 
 from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
 from mvlab.feynman_kac import FKProblem, fk_evaluate_grid
+from mvlab import lifted
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.lifted import (
     LiftedTestFunction,
@@ -152,6 +153,19 @@ class TestKernel:
             chapman_kolmogorov_residual(
                 lambda y, m: y[:, 0], cs, 0.0, 1.5, 1.0, 0.0,
                 gaussian_grid(0.5), SolverConfig(dt=1e-3),
+            )
+
+    def test_ck_rejects_split_off_step_grid_before_solving(self, monkeypatch):
+        # r = 0.025 is 12.5 steps of 2e-3: the flow holds no record there
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the split time")
+
+        monkeypatch.setattr(lifted, "solve_nonlinear_fpe", no_solve)
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"r=0.025 is not on the step grid .*s=0.0, t=0.05, dt=0.002"):
+            chapman_kolmogorov_residual(
+                lambda y, m: y[:, 0], cs, 0.0, 0.025, 0.05, 0.0,
+                gaussian_grid(0.5), SolverConfig(dt=2e-3),
             )
 
 
