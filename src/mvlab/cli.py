@@ -104,6 +104,9 @@ CHOICES = {
 }
 # experiments that need particular coefficient families
 FAMILIES = {"ergodicity": ("meanfield-ou",), "validate-hypotheses": ("meanfield-ou", "nldbm-arctan")}
+# the initial laws that an experiment builds on the grid (default: "initial")
+GRID_LAWS = {"frozen-compare": ("initial", "initial_frozen"), "ergodicity": (),
+             "validate-hypotheses": ()}
 
 
 def _check(d: dict, table: dict, context: str, required: tuple = ()) -> dict:
@@ -167,6 +170,18 @@ def validate_config(cfg: dict) -> dict:
             extra.require_contractive()
     except ValueError as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
+    for key in GRID_LAWS.get(experiment, ("initial",)):
+        try:
+            grid = _initial_grid(cfg.get(key), num["x_min"], num["dx"], num["n_cells"])
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    if experiment in ("check-ck", "feynman-kac"):
+        try:
+            grid.check_inside_centers(num["eval_point"])
+        except ValueError as exc:
+            raise ConfigError(f"numerics: eval_point: {exc}") from exc
+    if experiment == "feynman-kac" and not 0 <= num["eval_time"] <= num["horizon"]:
+        raise ConfigError(f"numerics: eval_time must be in [0, horizon], got {num['eval_time']!r}")
     if experiment == "check-ck":
         try:
             check_split(0.0, _split_time(num), num["horizon"], SolverConfig(num["dt"], num["scheme"]))
@@ -317,10 +332,11 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             potential=(lambda t, X, m: np.full(X.shape[0], Vc)) if Vc != 0 else None,
             source=(lambda t, X, m: np.full(X.shape[0], fc)) if fc != 0 else None,
         )
+        flow = solve_nonlinear_fpe(mu, coeffs, num["eval_time"], num["horizon"], solver_cfg)
         est_grid = fk_evaluate(prob, num["eval_time"], num["eval_point"], mu, solver_cfg,
-                               backend="grid")
+                               backend="grid", flow=flow)
         est_mc = fk_evaluate(prob, num["eval_time"], num["eval_point"], mu, solver_cfg,
-                             backend="mc", n_particles=num["n_particles"], seed=seed)
+                             backend="mc", n_particles=num["n_particles"], seed=seed, flow=flow)
         results["grid_value"] = est_grid.value
         results["mc_value"] = est_mc.value
         results["mc_stderr"] = est_mc.stderr

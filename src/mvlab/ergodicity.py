@@ -31,6 +31,8 @@ __all__ = [
     "fit_decay_rate",
 ]
 
+ENVELOPE_SIGMAS = 3.0  # standard errors of slack in ``envelope_holds``
+
 
 def decay_envelope(
     t: np.ndarray,
@@ -109,8 +111,9 @@ class ErgodicityReport:
         """Propagated statistical error of the summed squared distances."""
         return 2 * (self.w2_mu * self.stderr_mu + self.w2_nu * self.stderr_nu)
 
-    def envelope_holds(self, n_sigma: float = 3.0) -> bool:
-        return bool(np.all(self.observed_sq() <= self.envelope_sq + n_sigma * self.stat_error_sq()))
+    def envelope_holds(self) -> bool:
+        slack = ENVELOPE_SIGMAS * self.stat_error_sq()
+        return bool(np.all(self.observed_sq() <= self.envelope_sq + slack))
 
     def to_dict(self) -> dict:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}

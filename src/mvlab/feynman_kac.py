@@ -161,8 +161,10 @@ def fk_evaluate(
     if backend == "mc":
         return fk_evaluate_mc(problem, t, x, mu, cfg, n_particles, seed, flow=flow)
     if backend == "grid":
+        x = float(np.atleast_1d(x)[0])
+        mu.check_inside_centers(x)
         w = fk_evaluate_grid(problem, t, mu, cfg, flow=flow)
-        val = float(np.interp(float(np.atleast_1d(x)[0]), mu.centers, w))
+        val = float(np.interp(x, mu.centers, w))
         return FKEstimate(value=val, stderr=0.0, n_samples=mu.n_cells)
     raise ValueError(f"unknown backend {backend!r}")
 

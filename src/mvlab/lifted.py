@@ -88,26 +88,23 @@ def apply_measure_generator(F: CylindricalFunction, coeffs: CoefficientSet, t: f
 
 def apply_lifted_generator(
     G: LiftedTestFunction, coeffs: CoefficientSet, t: float, x, mu
-) -> float:
-    """Sum of the frozen point generator acting on g and the measure
-    generator acting on F, for G(x, mu) = g(x) F(mu), at a single point x:
-    both parts are the one Kolmogorov operator, of ``coeffs.frozen`` at x
-    and of ``coeffs`` under mu."""
+) -> np.ndarray:
+    """Lifted Kolmogorov operator on G(x, mu) = g(x) F(mu) at the (N, d)
+    points x, returned as (N,) values: the frozen point generator acting on g
+    times F(mu), plus g(x) times the measure generator acting on F. Both
+    parts are the one Kolmogorov operator, of ``coeffs.frozen`` at x and of
+    ``coeffs`` under mu."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape != (1, coeffs.d):
-        raise ValueError(f"x must be one point in R^{coeffs.d}, got shape {x.shape}")
     g = G.point_part
-    point_term = float(coeffs.frozen.generator(t, x, mu, g)[0])
-    Fval = G.measure_part(mu)
-    gval = float(np.asarray(g.h(x), dtype=float)[0])
-    return point_term * Fval + gval * apply_measure_generator(G.measure_part, coeffs, t, mu)
+    point_term = coeffs.frozen.generator(t, x, mu, g)
+    measure_term = apply_measure_generator(G.measure_part, coeffs, t, mu)
+    return point_term * G.measure_part(mu) + np.asarray(g.h(x), dtype=float) * measure_term
 
 
 def delta_on_grid(x: float, like: GridDensity1D) -> GridDensity1D:
     """Point mass at x as a two-cell density whose mean is exactly x."""
+    like.check_inside_centers(x)
     c = like.centers
-    if not (c[0] <= x <= c[-1]):
-        raise ValueError(f"x={x} outside grid centers [{c[0]}, {c[-1]}]")
     i = int(np.clip(np.searchsorted(c, x) - 1, 0, like.n_cells - 2))
     theta = (c[i + 1] - x) / like.dx
     theta = float(np.clip(theta, 0.0, 1.0))
@@ -216,11 +213,10 @@ def heat_semigroup_ck_residual(
     r: float,
     t: float,
     x: float,
-    diffusion: float = 1.0,
 ) -> float:
-    """Chapman-Kolmogorov defect of the exact Gaussian semigroup,
+    """Chapman-Kolmogorov defect of the exact heat semigroup (unit diffusion),
 
-        | N(x, a(t-s))(h) - int N(y, a(t-r))(h) N(x, a(r-s))(dy) |,
+        | N(x, t-s)(h) - int N(y, t-r)(h) N(x, r-s)(dy) |,
 
     by Gauss-Hermite quadrature with ``HERMITE_NODES`` nodes. For smooth h
     this is pure quadrature error.
@@ -231,10 +227,10 @@ def heat_semigroup_ck_residual(
     weights = weights / np.sqrt(2 * np.pi)
 
     def semigroup(y, tau):
-        return float(np.dot(weights, h(y + np.sqrt(diffusion * tau) * nodes)))
+        return float(np.dot(weights, h(y + np.sqrt(tau) * nodes)))
 
     direct = semigroup(x, t - s)
-    inner = np.array([semigroup(x + np.sqrt(diffusion * (r - s)) * z, t - r) for z in nodes])
+    inner = np.array([semigroup(x + np.sqrt(r - s) * z, t - r) for z in nodes])
     composed = float(np.dot(weights, inner))
     return abs(direct - composed)
 

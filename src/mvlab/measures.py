@@ -1,4 +1,4 @@
-"""Probability measures on R^d: particle clouds, 1-D grid densities, transport
+"""Probability measures on R^d: particle clouds, 1-D grid densities, W_2
 distances, cylindrical test functionals and their intrinsic gradient.
 
 Conventions used throughout the package:
@@ -21,11 +21,9 @@ __all__ = [
     "EmpiricalMeasure",
     "GridDensity1D",
     "CylindricalFunction",
-    "TransportPlan",
+    "InnerTest",
     "MeasureViewError",
     "wasserstein2",
-    "quantile_coupling_plan",
-    "sinkhorn_plan",
     "w2_gaussian_1d",
     "w2_to_quantile",
     "kde_density",
@@ -40,7 +38,6 @@ __all__ = [
 
 WEIGHT_TOL = 1e-12
 MASS_TOL = 1e-10
-SINKHORN_MARGINAL_TOL = 1e-8  # L1 row-marginal error that ends Sinkhorn
 QUANTILE_GRID = 20_000  # probability levels of the ``w2_to_quantile`` integral
 FLOAT_FMT = "%.17g"
 
@@ -108,10 +105,6 @@ class EmpiricalMeasure:
             weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
         return cls(pts, np.asarray(weights, dtype=float))
 
-    @classmethod
-    def dirac(cls, x) -> "EmpiricalMeasure":
-        return cls.from_atoms([np.atleast_1d(x)])
-
     def integrate(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.dot(self.weights, np.asarray(h(self.points), dtype=float)))
 
@@ -134,19 +127,6 @@ class EmpiricalMeasure:
             raise ValueError("sorted_1d requires dim == 1")
         order = np.argsort(self.points[:, 0], kind="stable")
         return self.points[order, 0], self.weights[order]
-
-    def to_csv(self) -> str:
-        header = [f"x{i + 1}" for i in range(self.dim)] + ["weight"]
-        return csv_table(header, [*self.points.T, self.weights])
-
-    @classmethod
-    def from_csv(cls, text: str) -> "EmpiricalMeasure":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        header = lines[0].split(",")
-        if header[-1] != "weight":
-            raise ValueError("missing weight column")
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        return cls(rows[:, :-1], rows[:, -1])
 
 
 @dataclass(frozen=True)
@@ -172,10 +152,6 @@ class GridDensity1D:
         return self.values.shape[0]
 
     @property
-    def x_max(self) -> float:
-        return self.x_min + self.dx * self.n_cells
-
-    @property
     def centers(self) -> np.ndarray:
         """Cell centers, read-only and shared by every density on this grid."""
         return _grid_centers(self.x_min, self.dx, self.n_cells)
@@ -183,6 +159,13 @@ class GridDensity1D:
     @property
     def dim(self) -> int:
         return 1
+
+    def check_inside_centers(self, x: float) -> None:
+        """``ValueError`` unless x lies between the first and the last cell
+        center, where values on the centers interpolate without clamping."""
+        c = self.centers
+        if not (c[0] <= x <= c[-1]):
+            raise ValueError(f"x={x} outside grid centers [{c[0]}, {c[-1]}]")
 
     def mass(self) -> float:
         return float(self.dx * self.values.sum())
@@ -227,14 +210,6 @@ class GridDensity1D:
 
     def to_csv(self) -> str:
         return csv_table(["x", "u"], [self.centers, self.values])
-
-    @classmethod
-    def from_csv(cls, text: str) -> "GridDensity1D":
-        lines = [ln for ln in text.strip().splitlines() if ln][1:]
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in lines])
-        x = rows[:, 0]
-        dx = x[1] - x[0]
-        return cls(x[0] - dx / 2, dx, rows[:, 1])
 
 
 @functools.lru_cache(maxsize=16)
@@ -337,113 +312,10 @@ def pushforward(mu: EmpiricalMeasure, phi: Callable[[np.ndarray], np.ndarray], t
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    source: EmpiricalMeasure
-    target: EmpiricalMeasure
-    coupling: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coupling, dtype=float)
-        if np.any(c < 0):
-            raise ValueError("coupling must be nonnegative")
-        if not np.allclose(c.sum(axis=1), self.source.weights, atol=1e-9):
-            raise ValueError("row sums do not match source weights")
-        if not np.allclose(c.sum(axis=0), self.target.weights, atol=1e-9):
-            raise ValueError("column sums do not match target weights")
-        object.__setattr__(self, "coupling", c)
-
-    def cost(self) -> float:
-        d2 = _sq_dists(self.source.points, self.target.points)
-        return float(np.sum(self.coupling * d2))
-
-
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def _monotone_merge(ws: np.ndarray, vs: np.ndarray):
-    """Monotone coupling of two sorted weight vectors: merge the cumulative
-    weights and return, per merged piece, the atom index on each side and the
-    piece's mass. Pieces are (c_{k-1}, c_k] for the union c of both cumsums."""
-    cw, cv = np.cumsum(ws), np.cumsum(vs)
-    c = np.union1d(cw, cv)
-    i = np.minimum(np.searchsorted(cw, c), len(ws) - 1)
-    j = np.minimum(np.searchsorted(cv, c), len(vs) - 1)
-    return i, j, np.diff(c, prepend=0.0)
-
-
-def quantile_coupling_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportPlan:
-    """Monotone (quantile) coupling of two 1-D clouds; optimal for W_2."""
-    order_x = np.argsort(mu.points[:, 0], kind="stable")
-    order_y = np.argsort(nu.points[:, 0], kind="stable")
-    i, j, m = _monotone_merge(mu.weights[order_x], nu.weights[order_y])
-    plan = np.zeros((mu.n_atoms, nu.n_atoms))
-    np.add.at(plan, (order_x[i], order_y[j]), m)
-    return TransportPlan(mu, nu, plan)
-
-
-def sinkhorn_plan(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    epsilon: float | None = None,
-    max_iter: int = 10_000,
-) -> TransportPlan:
-    """Entropically regularized coupling via log-domain Sinkhorn iterations.
-
-    The returned plan is rounded onto the transport polytope so its marginals
-    match the inputs exactly (up to float error); its cost therefore upper
-    bounds the true squared distance.
-    """
-    C = _sq_dists(mu.points, nu.points)
-    if epsilon is None:
-        med = np.median(C[C > 0]) if np.any(C > 0) else 1.0
-        epsilon = 1e-2 * med
-    loga = np.log(np.maximum(mu.weights, 1e-300))
-    logb = np.log(np.maximum(nu.weights, 1e-300))
-    f = np.zeros(mu.n_atoms)
-    g = np.zeros(nu.n_atoms)
-    K = -C / epsilon
-    err = np.inf
-    for it in range(max_iter):
-        f = epsilon * (loga - _logsumexp_rows(K + g[None, :] / epsilon))
-        g = epsilon * (logb - _logsumexp_rows(K.T + f[None, :] / epsilon))
-        P = np.exp(K + (f[:, None] + g[None, :]) / epsilon)
-        err = np.abs(P.sum(axis=1) - mu.weights).sum()
-        if err < SINKHORN_MARGINAL_TOL:
-            break
-    else:
-        # stopping is "tolerance or iteration cap"; only a residual too large
-        # to round away is a genuine failure
-        if err > 1e-3:
-            raise RuntimeError(
-                f"Sinkhorn did not converge in {max_iter} iterations "
-                f"(final marginal error {err:.3e})"
-            )
-    # round to the polytope (scale rows, then columns, then fix the residual)
-    r = np.minimum(mu.weights / np.maximum(P.sum(axis=1), 1e-300), 1.0)
-    P = P * r[:, None]
-    c = np.minimum(nu.weights / np.maximum(P.sum(axis=0), 1e-300), 1.0)
-    P = P * c[None, :]
-    ra = np.maximum(mu.weights - P.sum(axis=1), 0.0)
-    ca = np.maximum(nu.weights - P.sum(axis=0), 0.0)
-    if ra.sum() > 0 and ca.sum() > 0:
-        P = P + np.outer(ra, ca) / ra.sum()
-    return TransportPlan(mu, nu, P)
-
-
-def _logsumexp_rows(M: np.ndarray) -> np.ndarray:
-    mx = M.max(axis=1)
-    return mx + np.log(np.exp(M - mx[:, None]).sum(axis=1))
-
-
-def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "exact1d", **kw) -> float:
-    """W_2 distance between two particle clouds.
-
-    ``exact1d`` uses the monotone quantile coupling (dim must be 1);
-    ``sinkhorn`` uses entropic regularization and works in any dimension.
-    """
+def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """W_2 distance between two particle clouds: the root-mean-square
+    distance when one side is a single location, otherwise the monotone
+    quantile coupling (dim must be 1)."""
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     # all mass at a single location: W2 is a root-mean-square distance
@@ -452,16 +324,15 @@ def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "exac
         if np.all(pts == pts[0]):
             diff = b.points - pts[0]
             return float(np.sqrt(np.dot(b.weights, np.einsum("ij,ij->i", diff, diff))))
-    if method == "exact1d":
-        if mu.dim != 1:
-            raise ValueError("exact1d requires dim == 1")
-        xs, ws = mu.sorted_1d()
-        ys, vs = nu.sorted_1d()
-        i, j, m = _monotone_merge(ws, vs)
-        return float(np.sqrt(np.dot(m, (xs[i] - ys[j]) ** 2)))
-    if method == "sinkhorn":
-        return float(np.sqrt(sinkhorn_plan(mu, nu, **kw).cost()))
-    raise ValueError(f"unknown method {method!r}")
+    xs, ws = mu.sorted_1d()
+    ys, vs = nu.sorted_1d()
+    # monotone coupling: the pieces (c_{k-1}, c_k] of the merged cumulative
+    # weights c, each with its atom on either side and its mass
+    cw, cv = np.cumsum(ws), np.cumsum(vs)
+    c = np.union1d(cw, cv)
+    i = np.minimum(np.searchsorted(cw, c), len(ws) - 1)
+    j = np.minimum(np.searchsorted(cv, c), len(vs) - 1)
+    return float(np.sqrt(np.dot(np.diff(c, prepend=0.0), (xs[i] - ys[j]) ** 2)))
 
 
 def w2_to_quantile(mu, quantile: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -117,26 +117,6 @@ class PathEnsemble:
         at t or, with ``tol``, within tol of t (see ``fpe._record_index``)."""
         return self.marginal(_record_index(self.times, t, tol))
 
-    def save(self, path: str) -> None:
-        np.savez_compressed(
-            path,
-            times=self.times,
-            positions=self.positions,
-            seed=np.int64(self.seed),
-            stream_indices=self.stream_indices,
-        )
-
-    @classmethod
-    def load(cls, path: str, kde: KDESpec | None = None) -> "PathEnsemble":
-        with np.load(path) as z:
-            return cls(
-                times=z["times"],
-                positions=z["positions"],
-                seed=int(z["seed"]),
-                stream_indices=z["stream_indices"],
-                kde=kde,
-            )
-
 
 # Streams per Philox counter block. A block is drawn up to its largest
 # needed offset, so a lone stream costs at most this many normals per step.

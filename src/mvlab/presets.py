@@ -54,7 +54,9 @@ def cos_test() -> InnerTest:
 
 def gaussian_grid(var, mean=0.0, x_min=-8.0, dx=0.01, n=1600) -> GridDensity1D:
     """N(mean, var) sampled at the n cell centers from x_min, normalized to
-    unit mass on the grid."""
+    unit mass on the grid; ``ValueError`` if every sample underflows to zero."""
     xs = x_min + dx * (np.arange(n) + 0.5)
     v = np.exp(-((xs - mean) ** 2) / (2 * var))
+    if not v.sum() > 0:
+        raise ValueError(f"N({mean}, {var}) has no mass on the grid [{x_min}, {x_min + dx * n}]")
     return GridDensity1D(x_min, dx, v / (v.sum() * dx))

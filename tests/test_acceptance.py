@@ -32,7 +32,7 @@ from mvlab.feynman_kac import (
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe, total_clipped_mass
 from mvlab.lifted import (
     LiftedTestFunction,
-    apply_measure_generator,
+    apply_lifted_generator,
     chapman_kolmogorov_residual,
     heat_semigroup_ck_residual,
     measure_flow_derivative_residual,
@@ -160,7 +160,7 @@ def test_criterion_3_ergodicity_envelope():
         SimConfig(dt=2e-3, seed=31, record_every=30),
         checkpoints, q_inf, q_inf, n_boot=30,
     )
-    holds = rep.envelope_holds(3.0)
+    holds = rep.envelope_holds()
     rate_ok = rep.rate_fitted >= 0.9
 
     c0 = MonotonicityConstants(K=2.0, lam=1.5, kappa=0.5, lam_bar=1.0, kappa_bar=0.5)
@@ -191,20 +191,23 @@ def test_criterion_4_feynman_kac():
     cfg = SolverConfig(dt=1e-3)
     cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
     ones = lambda X, m: np.ones(X.shape[0])
+    # every problem below runs along this one flow (or its start, for the
+    # tower's outer problem over [0, 0.4])
+    flow = solve_nonlinear_fpe(mu, cs, 0.0, 1.0, cfg)
 
     # (i) terminal 1, no potential/source: u == 1 exactly
     prob = FKProblem(cs, 1.0, terminal=ones)
-    e1_grid = abs(fk_evaluate(prob, 0.0, 0.5, mu, cfg, backend="grid").value - 1.0)
+    e1_grid = abs(fk_evaluate(prob, 0.0, 0.5, mu, cfg, backend="grid", flow=flow).value - 1.0)
     e1_mc = abs(fk_evaluate(prob, 0.0, 0.5, mu, cfg, backend="mc",
-                            n_particles=2000, seed=40).value - 1.0)
+                            n_particles=2000, seed=40, flow=flow).value - 1.0)
 
     # (ii) constant potential c: u = exp(c T) up to dt bias
     prob_v = FKProblem(cs, 1.0, terminal=ones,
                        potential=lambda t, X, m: np.full(X.shape[0], 0.3))
-    e2_grid = abs(fk_evaluate(prob_v, 0.0, 0.5, mu, cfg, backend="grid").value
+    e2_grid = abs(fk_evaluate(prob_v, 0.0, 0.5, mu, cfg, backend="grid", flow=flow).value
                   - np.exp(0.3))
     e2_mc = abs(fk_evaluate(prob_v, 0.0, 0.5, mu, cfg, backend="mc",
-                            n_particles=2000, seed=41).value - np.exp(0.3))
+                            n_particles=2000, seed=41, flow=flow).value - np.exp(0.3))
 
     # (iii) terminal x for mean-field OU: closed-form mean
     m0 = mu.mean()[0]
@@ -213,24 +216,23 @@ def test_criterion_4_feynman_kac():
     oracle3 = 0.5 * np.exp(-1.0) + 0.5 * integ
     prob_x = FKProblem(cs, 1.0, terminal=lambda X, m: X[:, 0])
     mc3 = fk_evaluate(prob_x, 0.0, 0.5, mu, cfg, backend="mc",
-                      n_particles=20000, seed=42)
+                      n_particles=20000, seed=42, flow=flow)
     e3 = abs(mc3.value - oracle3)
     tol3 = 3 * mc3.stderr + 10 * cfg.dt
 
     # (iv) measure-only terminal: deterministic mean of the nonlinear flow
     prob_m = FKProblem(cs, 1.0,
                        terminal=lambda X, m: np.full(X.shape[0], m.mean()[0]))
-    e4 = abs(fk_evaluate(prob_m, 0.0, 0.5, mu, cfg, backend="grid").value
+    e4 = abs(fk_evaluate(prob_m, 0.0, 0.5, mu, cfg, backend="grid", flow=flow).value
              - m0 * np.exp(-0.5))
 
     # tower property at r = 0.4: restarting from the intermediate value
     # function reproduces the full solve
-    flow = solve_nonlinear_fpe(mu, cs, 0.0, 1.0, cfg)
     full = fk_evaluate(prob_x, 0.0, 0.5, mu, cfg, backend="grid", flow=flow).value
     w_r = fk_evaluate_grid(prob_x, 0.4, mu, cfg, flow=flow)
     prob_outer = FKProblem(cs, 0.4,
                            terminal=lambda X, m: np.interp(X[:, 0], mu.centers, w_r))
-    tower = fk_evaluate(prob_outer, 0.0, 0.5, mu, cfg, backend="grid").value
+    tower = fk_evaluate(prob_outer, 0.0, 0.5, mu, cfg, backend="grid", flow=flow).value
     e5 = abs(tower - full)
     mc_full = fk_evaluate(prob_x, 0.0, 0.5, mu, cfg, backend="mc",
                           n_particles=20000, seed=43, flow=flow)
@@ -357,27 +359,20 @@ def test_criterion_7_lifted_generator():
                           SimConfig(dt=1e-3, seed=71, record_every=50))
     t, step = 0.5, 0.05
     gaps, tols = [], []
-    def positions_at(when):
-        i = int(np.argmin(np.abs(ens.times - when)))
-        assert abs(ens.times[i] - when) < 1e-6
-        return ens.positions[i]
-
     for g, F in [(cos_test(), linear_F(tanh_test())),
                  (tanh_test(), linear_F(square_test()))]:
         # raw record order keeps particles paired across times, so the
         # difference quotient has the per-path cancellation built in
-        Xm = positions_at(t - step)
-        Xp = positions_at(t + step)
-        Xt = positions_at(t)
+        Xm = ens.marginal_at(t - step, tol=1e-6).points
+        Xp = ens.marginal_at(t + step, tol=1e-6).points
+        Xt = ens.marginal_at(t, tol=1e-6).points
         Fp = F(flow.state_at(t + step, tol=1e-6))
         Fm = F(flow.state_at(t - step, tol=1e-6))
         D = (g.h(Xp) * Fp - g.h(Xm) * Fm) / (2 * step)
         fd, se = float(D.mean()), float(D.std(ddof=1) / np.sqrt(n))
 
         mu_t = flow.state_at(t, tol=1e-6)
-        point = cs.frozen.generator(t, Xt, mu_t, g)
-        gen = float(np.mean(point * F(mu_t)
-                            + g.h(Xt) * apply_measure_generator(F, cs, t, mu_t)))
+        gen = float(np.mean(apply_lifted_generator(LiftedTestFunction(g, F), cs, t, Xt, mu_t)))
         gaps.append(abs(fd - gen))
         tols.append(3 * (se + cfg.dt))
 

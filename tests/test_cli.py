@@ -174,7 +174,12 @@ PROBE_NUMERICS = {"dt": 2e-3, "dx": 0.02, "n_cells": 800, "horizon": 0.05}
     ("check-ck", OU, {"horizon": 0.2, "quad_points": 0}, {}, "quad_points"),
     ("check-ck", OU, {"horizon": 0.2, "split_time": 0.3}, {}, "split_time"),
     ("check-ck", OU, {}, {}, "split_time"),
-], ids=[f"probe{i}" for i in range(1, 13)])
+    ("feynman-kac", OU, {"horizon": 0.2, "eval_time": 0.3}, {}, "eval_time"),
+    ("check-ck", OU, {"horizon": 0.2, "eval_point": 100.0}, {}, "eval_point"),
+    ("feynman-kac", OU, {"horizon": 0.2, "eval_point": 100.0}, {}, "eval_point"),
+    ("solve-fpe", OU, {"horizon": 0.2}, {"initial": {"kind": "gaussian", "mean": 100.0}},
+     "initial"),
+], ids=[f"probe{i}" for i in range(1, 17)])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, coefficients,
                                           numerics, top, key):
     path, _ = write_config(tmp_path, "probe.json", experiment=experiment,

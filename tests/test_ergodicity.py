@@ -98,7 +98,7 @@ class TestDecayStudy:
         rep = decay_study(cs, mono, x0mu, x0nu,
                           SimConfig(dt=2e-3, seed=4, record_every=250),
                           cps, q, q, n_boot=25)
-        assert rep.envelope_holds(3.0)
+        assert rep.envelope_holds()
         assert rep.rate_fitted > 0.8 * rep.rate_predicted
         d = rep.to_dict()
         assert len(d["times"]) == 11

@@ -168,3 +168,10 @@ class TestGridBackend:
         flow = solve_nonlinear_fpe(gaussian_grid(0.5), prob.coeffs, 0.0, 0.01, CFG)
         with pytest.raises(ValueError, match="grid"):
             fk_evaluate_grid(prob, 0.0, mu, CFG, flow=flow)
+
+    @pytest.mark.parametrize("x", [100.0, -10.0])
+    def test_point_off_the_grid_rejected(self, mu, x):
+        # np.interp would clamp x to the edge cell's value
+        prob = FKProblem(heat_coefficients(1, 1.0), 0.01, terminal=lambda X, m: np.tanh(X[:, 0]))
+        with pytest.raises(ValueError, match="outside grid centers"):
+            fk_evaluate(prob, 0.0, x, mu, CFG, backend="grid")

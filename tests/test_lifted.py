@@ -67,9 +67,11 @@ class TestLiftedGenerator:
         b = -1.0 * 0.7 + 0.5 * mu.mean()[0]
         point = 0.5 * (-np.cos(0.7)) + b * (-np.sin(0.7))
         expected = point * F(mu) + np.cos(0.7) * apply_measure_generator(F, cs, 0.0, mu)
-        assert apply_lifted_generator(G, cs, 0.0, x, mu) == pytest.approx(expected, rel=1e-10)
-        with pytest.raises(ValueError, match="one point"):
-            apply_lifted_generator(G, cs, 0.0, np.array([[0.7], [0.2]]), mu)
+        assert apply_lifted_generator(G, cs, 0.0, x, mu) == pytest.approx([expected], rel=1e-10)
+        # (N, d) points: each row gets its single-point value, bitwise
+        both = apply_lifted_generator(G, cs, 0.0, np.array([[0.7], [0.2]]), mu)
+        singles = [apply_lifted_generator(G, cs, 0.0, np.array([[y]]), mu)[0] for y in (0.7, 0.2)]
+        assert both.tolist() == singles
 
 
 class TestDeltaOnGrid:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,8 @@ from mvlab.measures import (
     intrinsic_gradient,
     kde_density,
     pushforward,
-    quantile_coupling_plan,
     sample_density,
     silverman_bandwidth,
-    sinkhorn_plan,
     w2_gaussian_1d,
     w2_to_quantile,
     wasserstein2,
@@ -49,15 +49,6 @@ class TestEmpiricalMeasure:
         assert mu.mean()[0] == pytest.approx(1.5)
         assert mu.cov()[0, 0] == pytest.approx(0.25 * 1.5**2 + 0.75 * 0.5**2)
         assert mu.second_moment() == pytest.approx(3.0)
-
-    def test_csv_roundtrip_exact(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(10, 2))
-        w = rng.random(10)
-        mu = EmpiricalMeasure(pts, w / w.sum())
-        back = EmpiricalMeasure.from_csv(mu.to_csv())
-        assert np.array_equal(back.points, mu.points)
-        assert np.array_equal(back.weights, mu.weights)
 
     def test_integrate(self):
         mu = EmpiricalMeasure.from_atoms([1.0, 3.0])
@@ -109,9 +100,9 @@ class TestGridDensity1D:
 
     def test_csv_roundtrip(self):
         g = gaussian_grid(n=50, dx=0.4)
-        back = GridDensity1D.from_csv(g.to_csv())
-        assert np.allclose(back.values, g.values, rtol=0, atol=0)
-        assert back.x_min == pytest.approx(g.x_min)
+        back = np.loadtxt(io.StringIO(g.to_csv()), delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], g.centers)
+        assert np.array_equal(back[:, 1], g.values)
 
     def test_density_at_outside_is_zero(self):
         g = gaussian_grid()
@@ -157,34 +148,9 @@ class TestWasserstein:
         assert wasserstein2(mu, nu) == pytest.approx(2.5, abs=1e-12)
 
     def test_single_atom_rms(self):
-        mu = EmpiricalMeasure.dirac(np.array([1.0, 2.0]))
+        mu = EmpiricalMeasure.from_atoms([[1.0, 2.0]])
         nu = EmpiricalMeasure.from_atoms(np.array([[1.0, 2.0], [4.0, 6.0]]))
         assert wasserstein2(mu, nu) == pytest.approx(np.sqrt(0.5 * 25.0))
-
-    def test_quantile_plan_cost_matches_distance(self):
-        rng = np.random.default_rng(2)
-        mu = EmpiricalMeasure.from_atoms(rng.normal(size=12))
-        nu = EmpiricalMeasure.from_atoms(rng.normal(1.0, 2.0, size=9))
-        plan = quantile_coupling_plan(mu, nu)
-        assert plan.cost() == pytest.approx(wasserstein2(mu, nu) ** 2, rel=1e-12)
-
-    def test_sinkhorn_close_to_exact(self):
-        rng = np.random.default_rng(3)
-        mu = EmpiricalMeasure.from_atoms(rng.normal(size=40))
-        nu = EmpiricalMeasure.from_atoms(rng.normal(0.5, 1.5, size=40))
-        exact = wasserstein2(mu, nu)
-        approx = wasserstein2(mu, nu, method="sinkhorn", epsilon=1e-2, max_iter=20000)
-        # entropic cost after rounding upper-bounds the optimum
-        assert exact <= approx + 1e-9
-        assert approx <= exact + 0.05
-
-    def test_sinkhorn_marginals_exact(self):
-        rng = np.random.default_rng(4)
-        mu = EmpiricalMeasure.from_atoms(rng.normal(size=15))
-        nu = EmpiricalMeasure.from_atoms(rng.normal(size=10))
-        plan = sinkhorn_plan(mu, nu)
-        assert np.allclose(plan.coupling.sum(axis=1), mu.weights, atol=1e-12)
-        assert np.allclose(plan.coupling.sum(axis=0), nu.weights, atol=1e-12)
 
     def test_w2_to_quantile_gaussian(self):
         from scipy.stats import norm

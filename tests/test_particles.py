@@ -9,7 +9,6 @@ from mvlab.measures import MeasureViewError
 from mvlab.particles import (
     _BLOCK,
     KDESpec,
-    PathEnsemble,
     SimConfig,
     simulate_frozen,
     simulate_mckean_vlasov,
@@ -181,18 +180,6 @@ class TestValidation:
 
 
 class TestSerialization:
-    def test_save_load_roundtrip(self, ou, tmp_path):
-        x0 = initial_cloud(300)
-        ens = simulate_mckean_vlasov(x0, ou, 0.0, 0.1,
-                                     SimConfig(dt=1e-3, seed=8, record_every=20))
-        f = str(tmp_path / "ens.npz")
-        ens.save(f)
-        back = PathEnsemble.load(f)
-        assert np.array_equal(back.positions, ens.positions)
-        assert np.array_equal(back.times, ens.times)
-        assert back.seed == ens.seed
-        assert np.array_equal(back.stream_indices, ens.stream_indices)
-
     def test_marginal_at(self, ou):
         ens = simulate_mckean_vlasov(initial_cloud(100), ou, 0.0, 0.1,
                                      SimConfig(dt=1e-3, seed=8, record_every=50))
