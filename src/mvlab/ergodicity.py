@@ -20,7 +20,13 @@ import numpy as np
 
 from .coefficients import CoefficientSet, MonotonicityConstants
 from .fpe import SolverConfig, solve_nonlinear_fpe
-from .measures import EmpiricalMeasure, GridDensity1D, w2_to_quantile
+from .measures import (
+    EmpiricalMeasure,
+    GridDensity1D,
+    _level_ranks,
+    _quantile_levels,
+    w2_to_quantile,
+)
 from .particles import SimConfig, simulate_frozen, simulate_mckean_vlasov
 
 __all__ = [
@@ -121,14 +127,18 @@ class ErgodicityReport:
 
 def _w2_with_stderr(points: np.ndarray, qfun, n_boot: int, rng: np.random.Generator) -> tuple[float, float]:
     """W2 of a 1-D cloud to qfun and its bootstrap standard error. The cloud
-    is sorted once; each replicate weights the sorted atoms by the counts of
-    n draws with replacement, so neither value depends on the cloud's order."""
+    is sorted and qfun evaluated on the quantile levels once; each replicate
+    draws n atoms with replacement and reads its quantile at each level from
+    its counts, at the rank ``_level_ranks`` gives, so neither value depends
+    on the cloud's order."""
     atoms = np.sort(points[:, 0])
     n = len(atoms)
+    q_ref = np.asarray(qfun(_quantile_levels()), dtype=float)
+    ranks = _level_ranks(n)
     vals = np.empty(n_boot)
     for b in range(n_boot):
         counts = np.bincount(rng.integers(0, n, n), minlength=n)
-        vals[b] = w2_to_quantile(EmpiricalMeasure.from_atoms(atoms, counts / n), qfun)
+        vals[b] = np.sqrt(np.mean((np.repeat(atoms, counts)[ranks] - q_ref) ** 2))
     return w2_to_quantile(EmpiricalMeasure.from_atoms(atoms), qfun), float(vals.std(ddof=1))
 
 

@@ -42,6 +42,20 @@ QUANTILE_GRID = 20_000  # probability levels of the ``w2_to_quantile`` integral
 FLOAT_FMT = "%.17g"
 
 
+def _quantile_levels() -> np.ndarray:
+    """The ``QUANTILE_GRID`` probability levels p_j = (j + 1/2) / Q."""
+    return (np.arange(QUANTILE_GRID) + 0.5) / QUANTILE_GRID
+
+
+def _level_ranks(n: int) -> np.ndarray:
+    """For each level p_j of ``_quantile_levels``, the 0-based rank of the
+    atom that the quantile of n equally weighted sorted atoms reads there:
+    the least m with (m + 1) / n >= p_j, i.e. ceil((2j + 1) n / 2Q) - 1, in
+    exact integer arithmetic."""
+    num = (2 * np.arange(QUANTILE_GRID, dtype=np.int64) + 1) * n
+    return -(-num // (2 * QUANTILE_GRID)) - 1
+
+
 class MeasureViewError(ValueError):
     """A coefficient asked for a measure feature (e.g. a density) that the
     supplied measure object cannot provide."""
@@ -342,7 +356,7 @@ def w2_to_quantile(mu, quantile: Callable[[np.ndarray], np.ndarray]) -> float:
 
     Avoids double sampling noise when comparing against analytic references.
     """
-    p = (np.arange(QUANTILE_GRID) + 0.5) / QUANTILE_GRID
+    p = _quantile_levels()
     q_ref = np.asarray(quantile(p), dtype=float)
     if isinstance(mu, GridDensity1D):
         q_mu = mu.quantile(p)

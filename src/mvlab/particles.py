@@ -12,10 +12,16 @@ index: the simulator reorders the initial positions by their stream indices
 once, then steps, reduces and records the cloud in that order. Permuting
 particles together with their stream indices therefore yields the same
 cloud row for row, and bitwise-identical empirical laws.
+
+Cost: a simulation plans its noise once, which Philox blocks its streams
+fall in and where their rows go, and keeps one generator whose counter it
+sets for each block and step. Streams that fill a block from its first row
+on draw straight into the step's noise array; no step builds a generator.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -123,21 +129,56 @@ class PathEnsemble:
 _BLOCK = 4096
 
 
-def _normals(seed: int, stream_indices: np.ndarray, k: int, d: int) -> np.ndarray:
-    """(N, d) standard normals of step k for increasing stream indices.
+def _normals(seed: int, stream_indices: np.ndarray, d: int) -> Callable[[int], np.ndarray]:
+    """``draw(k)``: the (N, d) standard normals of step k for increasing
+    stream indices.
 
     Stream i takes row i mod B (B = ``_BLOCK``) of the draw keyed by seed at
     counter (0, k, i // B, 0), which has just enough rows for the largest
     offset in its block. ``standard_normal`` fills rows in order, so a
     stream's normals do not depend on which other streams are drawn.
+
+    The block plan is made here, once per simulation: each block's rows in
+    the cloud and how its offsets lie. A block whose offsets run 0, 1, 2, ...
+    draws straight into its rows of the output; any other block draws into a
+    scratch buffer, then copies a slice of it (contiguous offsets) or gathers
+    its rows. One Philox generator serves every block of every step, its
+    counter set through ``state``. Every call returns the same output array,
+    overwritten.
     """
     blocks, offsets = np.divmod(stream_indices, _BLOCK)
-    cuts = np.flatnonzero(np.diff(blocks)) + 1
-    parts = []
-    for blk, off in zip(blocks[np.r_[0, cuts]], np.split(offsets, cuts)):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, k, blk, 0]))
-        parts.append(gen.standard_normal((off[-1] + 1, d))[off])
-    return np.concatenate(parts)
+    cuts = np.r_[0, np.flatnonzero(np.diff(blocks)) + 1, len(blocks)]
+    plan = []  # (block, first row, end row, rows drawn, rows taken or None)
+    for r0, r1 in itertools.pairwise(cuts.tolist()):
+        off = offsets[r0:r1]  # strictly increasing
+        n_draw = int(off[-1]) + 1
+        if n_draw == r1 - r0:
+            taken = None
+        elif n_draw - off[0] == r1 - r0:
+            taken = slice(int(off[0]), n_draw)
+        else:
+            taken = off
+        plan.append((int(blocks[r0]), r0, r1, n_draw, taken))
+
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # fresh buffer, as a newly keyed Philox has
+    counter = state["state"]["counter"]
+    out = np.empty((len(stream_indices), d))
+    scratch = np.empty((_BLOCK, d))
+
+    def draw(k: int) -> np.ndarray:
+        for blk, r0, r1, n_draw, taken in plan:
+            counter[:] = (0, k, blk, 0)
+            bitgen.state = state
+            if taken is None:
+                gen.standard_normal(out=out[r0:r1])
+            else:
+                gen.standard_normal(out=scratch[:n_draw])
+                out[r0:r1] = scratch[taken]
+        return out
+
+    return draw
 
 
 def _simulate(
@@ -150,26 +191,33 @@ def _simulate(
 ) -> PathEnsemble:
     """The one Euler-Maruyama loop. ``drift_diffusion(t, h, X)`` is called
     once per step (t, h) with the cloud at t and returns (b, sigma) there;
-    the cloud then moves by b h + sigma Z sqrt(h), Z from ``_normals``."""
+    the cloud then moves by b h + sigma Z sqrt(h), Z from ``_normals``,
+    whose block plan and generator are made once for the whole simulation.
+    Stream indices must be distinct integers in [0, 2**63)."""
     X = np.atleast_2d(np.asarray(x0, dtype=float))
     if X.ndim != 2:
         raise ValueError("x0 must have shape (N, d)")
     N, d = X.shape
     if stream_indices is None:
         stream_indices = np.arange(N, dtype=np.int64)
-    stream_indices = np.asarray(stream_indices, dtype=np.int64)
+    raw = np.asarray(stream_indices)
+    # checked before the int64 cast, which would wrap 2**64 - i to -i and
+    # truncate 0.5 to 0
+    if raw.shape == (N,) and (raw.dtype.kind not in "iu" or raw.min() < 0 or raw.max() >= 2**63):
+        raise ValueError("stream_indices must be integers in [0, 2**63)")
+    stream_indices = raw.astype(np.int64)
     if stream_indices.shape != (N,) or len(np.unique(stream_indices)) != N:
         raise ValueError("stream_indices must be N distinct integers")
     order = np.argsort(stream_indices)
     X, stream_indices = X[order], stream_indices[order]
 
+    draw = _normals(cfg.seed, stream_indices, d)
     steps = _time_steps(s, t_end, cfg.dt)
     times = [s]
     records = [X]
     for k, (t, h, t_next) in enumerate(steps):
         b, sig = drift_diffusion(t, h, X)
-        Z = _normals(cfg.seed, stream_indices, k, d)
-        X = X + b * h + np.einsum("nij,nj->ni", sig, Z) * np.sqrt(h)
+        X = X + b * h + np.einsum("nij,nj->ni", sig, draw(k)) * np.sqrt(h)
         if (k + 1) % cfg.record_every == 0 or k + 1 == len(steps):
             times.append(t_next)
             records.append(X)

@@ -1,12 +1,14 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvlab import presets
 from mvlab.measures import (
+    QUANTILE_GRID,
     CylindricalFunction,
     EmpiricalMeasure,
     GridDensity1D,
@@ -21,6 +23,8 @@ from mvlab.measures import (
     silverman_bandwidth,
     w2_gaussian_1d,
     w2_to_quantile,
+    _level_ranks,
+    _quantile_levels,
     wasserstein2,
 )
 from tests_helpers import lp_w2sq, square_test
@@ -166,6 +170,31 @@ class TestWasserstein:
                 EmpiricalMeasure.from_atoms([0.0, 1.0]),
                 EmpiricalMeasure.from_atoms(np.zeros((2, 2)) + [[0, 0], [1, 1]]),
             )
+
+
+class TestLevelRanks:
+    @pytest.mark.parametrize("n", [3000, 10000, 20000])
+    def test_count_rule_equals_float_cdf_search_without_ties(self, n):
+        # (j + 1/2) n / Q is never an integer here (64 does not divide n), so
+        # the float cumulative weights never land on a level
+        assert not np.any((2 * np.arange(QUANTILE_GRID) + 1) * n % (2 * QUANTILE_GRID) == 0)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            counts = np.bincount(rng.integers(0, n, n), minlength=n)
+            cdf = np.cumsum(counts / n)
+            by_cdf = np.minimum(np.searchsorted(cdf, _quantile_levels(), side="left"), n - 1)
+            by_rank = np.repeat(np.arange(n), counts)[_level_ranks(n)]
+            assert np.array_equal(by_rank, by_cdf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**7), j=st.integers(0, QUANTILE_GRID - 1))
+    @example(n=40_000, j=0)  # 64 | n: every level a tie, (m + 1) / n == p_j
+    @example(n=40_000, j=QUANTILE_GRID - 1)
+    @example(n=64, j=312)
+    def test_rank_is_the_exact_quantile_rank(self, n, j):
+        m = int(_level_ranks(n)[j])
+        p = Fraction(2 * j + 1, 2 * QUANTILE_GRID)
+        assert Fraction(m, n) < p <= Fraction(m + 1, n)
 
 
 class TestKDE:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from mvlab.particles import (
     _BLOCK,
     KDESpec,
     SimConfig,
+    _normals,
     simulate_frozen,
     simulate_mckean_vlasov,
 )
 from mvlab.presets import arctan_params, gaussian_grid
+from tests_helpers import reference_normals
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,55 @@ class TestReproducibility:
                               np.sort(b.positions[-1], axis=0))
 
 
+def _runs():
+    """Consecutive streams: from 0, or from anywhere, crossing block edges."""
+    return st.one_of(
+        st.integers(1, 2 * _BLOCK).map(np.arange),
+        st.builds(lambda a, n: a + np.arange(n),
+                  st.one_of(st.integers(0, 3 * _BLOCK), st.integers(0, 2**40)),
+                  st.integers(1, 2 * _BLOCK)),
+    )
+
+
+def _sparse():
+    index = st.one_of(st.integers(0, 3 * _BLOCK), st.integers(0, 2**40))
+    return st.lists(index, min_size=1, max_size=40, unique=True).map(np.array)
+
+
+def _stream_sets():
+    mixed = st.builds(np.union1d, _runs(), _sparse())
+    return st.one_of(_runs(), _sparse(), mixed).map(lambda a: np.sort(a).astype(np.int64))
+
+
+class TestNormals:
+    @settings(max_examples=60, deadline=None)
+    @given(idx=_stream_sets(), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           ks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
+    def test_plan_equals_fresh_generator_per_block(self, idx, d, seed, ks):
+        draw = _normals(seed, idx, d)
+        for k in ks:
+            assert np.array_equal(draw(k), reference_normals(seed, idx, k, d))
+
+    # SHA-256 of the normals' bytes, recorded with numpy 2.4.6. A change in
+    # numpy's Philox or ziggurat would move every stochastic result; this
+    # shows it without any BLAS call in between.
+    GOLDEN = [
+        (30, np.arange(2000), 0, 1,
+         "0daa4eedbdf12b582b65c6859bade2bf736d41f88c5e2afecc9f0303da8ce4b9"),
+        (31, np.arange(4000, 9000), 7, 1,
+         "c540d835da6ebcb80fc14e5b4497bd86509661546793dfa66e77287c9ec37abf"),
+        (5, np.array([3, 17, 4095, 4096, 9000, 2**40]), 3, 2,
+         "775a5429514f90f1b0fd5f3bc1fcf94a42c5e7e8313ad2de9932e5ac0e574768"),
+        (2**32 - 1, np.arange(100, 300, 3), 12, 2,
+         "6fbdd86ec0e101f4522dc8d596e038d2e8d7d885eaac761ea770d37b90c02e22"),
+    ]
+
+    @pytest.mark.parametrize("seed, idx, k, d, digest", GOLDEN)
+    def test_golden_digest(self, seed, idx, k, d, digest):
+        z = _normals(seed, idx.astype(np.int64), d)(k)
+        assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
 class TestFrozen:
     def test_frozen_near_nonlinear_with_shared_flow(self, ou):
         x0 = initial_cloud(2000)
@@ -171,6 +224,17 @@ class TestValidation:
             simulate_mckean_vlasov(initial_cloud(3), ou, 0.0, 0.01,
                                    SimConfig(dt=1e-3, seed=0),
                                    stream_indices=np.array([0, 0, 1]))
+
+    @pytest.mark.parametrize("idx", [np.array([0, -_BLOCK]),
+                                     np.array([0, 2**64 - _BLOCK], dtype=np.uint64),
+                                     np.array([0.5, 1.9])],
+                             ids=["negative", "uint64_past_int64", "fractional"])
+    def test_stream_indices_must_be_nonnegative_int64(self, ou, idx):
+        # unchecked, the uint64 index wraps to -4096 in the int64 cast, and both
+        # sets run the same paths; 0.5 and 1.9 would run streams 0 and 1
+        with pytest.raises(ValueError, match="integers in"):
+            simulate_mckean_vlasov(initial_cloud(2), ou, 0.0, 0.01,
+                                   SimConfig(dt=1e-3, seed=0), stream_indices=idx)
 
     def test_density_closure_requires_kde(self):
         cs = nldbm_coefficients(arctan_params())

@@ -5,6 +5,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from mvlab.measures import CylindricalFunction, InnerTest
+from mvlab.particles import _BLOCK
 
 
 def linear_F(h):
@@ -44,3 +45,16 @@ def lp_w2sq(mu, nu):
     res = linprog(d2, A_eq=np.array(A_eq), b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.success
     return res.fun
+
+
+def reference_normals(seed, stream_indices, k, d):
+    """(N, d) normals of step k for increasing stream indices, drawn the
+    plain way: a fresh Philox per counter block, then a gather of the rows
+    each block needs."""
+    blocks, offsets = np.divmod(stream_indices, _BLOCK)
+    cuts = np.flatnonzero(np.diff(blocks)) + 1
+    parts = []
+    for blk, off in zip(blocks[np.r_[0, cuts]], np.split(offsets, cuts)):
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, k, blk, 0]))
+        parts.append(gen.standard_normal((off[-1] + 1, d))[off])
+    return np.concatenate(parts)
