@@ -23,8 +23,8 @@ from .fpe import SolverConfig, solve_nonlinear_fpe
 from .measures import (
     EmpiricalMeasure,
     GridDensity1D,
-    _level_ranks,
     _quantile_levels,
+    _w2_at_ranks,
     w2_to_quantile,
 )
 from .particles import SimConfig, simulate_frozen, simulate_mckean_vlasov
@@ -127,19 +127,18 @@ class ErgodicityReport:
 
 def _w2_with_stderr(points: np.ndarray, qfun, n_boot: int, rng: np.random.Generator) -> tuple[float, float]:
     """W2 of a 1-D cloud to qfun and its bootstrap standard error. The cloud
-    is sorted and qfun evaluated on the quantile levels once; each replicate
-    draws n atoms with replacement and reads its quantile at each level from
-    its counts, at the rank ``_level_ranks`` gives, so neither value depends
-    on the cloud's order."""
+    is sorted and qfun evaluated on the quantile levels once. The cloud and
+    each replicate, n atoms drawn with replacement and expanded from their
+    counts, read their quantile by ``_w2_at_ranks``, the rule of
+    ``w2_to_quantile`` for equal weights, so neither value depends on the
+    cloud's order."""
     atoms = np.sort(points[:, 0])
     n = len(atoms)
     q_ref = np.asarray(qfun(_quantile_levels()), dtype=float)
-    ranks = _level_ranks(n)
     vals = np.empty(n_boot)
     for b in range(n_boot):
-        counts = np.bincount(rng.integers(0, n, n), minlength=n)
-        vals[b] = np.sqrt(np.mean((np.repeat(atoms, counts)[ranks] - q_ref) ** 2))
-    return w2_to_quantile(EmpiricalMeasure.from_atoms(atoms), qfun), float(vals.std(ddof=1))
+        vals[b] = _w2_at_ranks(np.repeat(atoms, np.bincount(rng.integers(0, n, n), minlength=n)), q_ref)
+    return _w2_at_ranks(atoms, q_ref), float(vals.std(ddof=1))
 
 
 def decay_study(

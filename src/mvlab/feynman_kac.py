@@ -193,24 +193,34 @@ def pde_residual(
     The time derivative and the measure term are taken together as the total
     derivative of s -> u(s, x, mu_s) along the nonlinear flow (forward
     second-order one-sided difference); the point term is central in x at
-    the grid spacing on deterministic grid evaluations.
+    the grid spacing on deterministic grid evaluations. The flow and the
+    backward sweep each run in three pieces split at t + dt_fd and
+    t + 2 dt_fd, so [t, horizon] is swept once and dt_fd need not be a whole
+    number of steps of ``cfg.dt``.
 
     The central differences are deliberate: the grid backend is the
     transposed upwind finite-volume step, and a probe that reused that
     operator would only check the solver against itself.
     """
-    flow = _flow_for(problem, t, mu, cfg)
     i = int(np.argmin(np.abs(mu.centers - x)))
     if not (0 < i < mu.n_cells - 1):
         raise ValueError("x too close to the domain edge for central differences")
     x = float(mu.centers[i])
 
-    def u_grid(s: float) -> np.ndarray:
-        return fk_evaluate_grid(problem, s, flow.state_at(s), cfg, flow=flow)
-
-    w0 = u_grid(t)
-    w1 = u_grid(t + dt_fd)
-    w2 = u_grid(t + 2 * dt_fd)
+    cuts = [(t, t + dt_fd), (t + dt_fd, t + 2 * dt_fd), (t + 2 * dt_fd, problem.horizon)]
+    flows, state = [], mu
+    for s, s_end in cuts:
+        flows.append(solve_nonlinear_fpe(state, problem.coeffs, s, s_end, cfg))
+        state = flows[-1].state_at(s_end)
+    w = problem.terminal(mu.centers[:, None], state)
+    ws = []
+    for (s, s_end), flow in reversed(list(zip(cuts, flows))):
+        w = solve_backward_kolmogorov(
+            w, flow, problem.coeffs, cfg, s, s_end,
+            potential=problem.potential, source=problem.source,
+        )
+        ws.append(w)
+    w2, w1, w0 = ws
     u0 = float(w0[i])
     total_dt = float(-3 * w0[i] + 4 * w1[i] - w2[i]) / (2 * dt_fd)
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,27 @@ def test_rerun_bitwise_identical(tmp_path):
         a = Path(out_a, name).read_bytes()
         b = Path(out_b, name).read_bytes()
         assert a == b, name
+
+
+def test_rerun_bitwise_identical_at_any_blas_thread_count(tmp_path):
+    # OpenBLAS splits a vector product across threads only from about 1e4
+    # elements, so the cloud needs N >= 2e4 for the second thread to run
+    num = {**SMALL, "dt": 1e-2, "horizon": 0.1, "n_particles": 20000, "record_every": 5}
+    path, _ = write_config(tmp_path, "threads.json", experiment="simulate-mkv", seed=5,
+                           numerics=num)
+    src = str(Path(cli.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "mvlab.cli", "run", path, "--out", out],
+                       env=env, check=True, timeout=300)
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert Path(outs[0], name).read_bytes() == Path(outs[1], name).read_bytes(), name
 
 
 def test_readme_config_is_valid():

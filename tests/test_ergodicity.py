@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -11,7 +14,7 @@ from mvlab.ergodicity import (
     fit_decay_rate,
 )
 from mvlab.fpe import SolverConfig
-from mvlab.measures import EmpiricalMeasure, w2_to_quantile
+from mvlab.measures import QUANTILE_GRID, EmpiricalMeasure, _quantile_levels, w2_to_quantile
 from mvlab.particles import SimConfig
 from mvlab.presets import gaussian_grid
 
@@ -135,3 +138,27 @@ class TestBootstrap:
         w2, se = _w2_with_stderr(pts, self.q, 30, np.random.default_rng(1))
         assert w2 == w2_to_quantile(EmpiricalMeasure.from_atoms(pts), self.q)
         assert se == float(np.std(vals, ddof=1))
+
+    @pytest.mark.parametrize("n", [3000, 20000])
+    def test_point_estimate_equals_w2_to_quantile(self, n):
+        # 64 does not divide n: no level ties, and the float cumulative-weight
+        # search that w2_to_quantile used for every cloud reads the same atoms
+        pts = np.random.default_rng(n).normal(0.3, 0.8, (n, 1))
+        xs = np.sort(pts[:, 0])
+        by_cdf = np.minimum(np.searchsorted(np.cumsum(np.full(n, 1 / n)), _quantile_levels()), n - 1)
+        ref = float(np.sqrt(np.mean((xs[by_cdf] - self.q(_quantile_levels())) ** 2)))
+        w2, _ = _w2_with_stderr(pts, self.q, 2, np.random.default_rng(0))
+        assert w2 == ref
+        assert w2 == w2_to_quantile(EmpiricalMeasure.from_atoms(pts), self.q)
+
+    @pytest.mark.parametrize("n", [64, 640])
+    def test_point_estimate_reads_the_exact_rank(self, n):
+        # 64 | n: levels p_j = (m + 1) / n tie, where a float cumsum of the
+        # weights can read atom m + 1; the quantile reads atom m
+        pts = np.random.default_rng(n).normal(0.3, 0.8, (n, 1))
+        ranks = [math.ceil(Fraction(2 * j + 1, 2 * QUANTILE_GRID) * n) - 1
+                 for j in range(QUANTILE_GRID)]
+        ref = np.sqrt(np.mean((np.sort(pts[:, 0])[ranks] - self.q(_quantile_levels())) ** 2))
+        w2, _ = _w2_with_stderr(pts, self.q, 2, np.random.default_rng(0))
+        assert w2 == ref
+        assert w2_to_quantile(EmpiricalMeasure.from_atoms(pts), self.q) == ref

@@ -97,15 +97,25 @@ class TestOracles:
 
 
 class TestPDEResidual:
-    def test_residual_small_relative_to_terms(self, mu):
+    @staticmethod
+    def problem():
         cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
-        prob = FKProblem(
+        return FKProblem(
             cs, 1.0,
             terminal=lambda X, m: np.tanh(X[:, 0]),
             potential=lambda t, X, m: 0.2 * np.cos(X[:, 0]),
             source=lambda t, X, m: 0.1 * np.sin(X[:, 0]) + m.mean()[0],
         )
-        res = pde_residual(prob, 0.2, 0.5, mu, SolverConfig(dt=1e-4), dt_fd=1e-3)
+
+    def test_residual_small_relative_to_terms(self, mu):
+        res = pde_residual(self.problem(), 0.2, 0.5, mu, SolverConfig(dt=1e-4), dt_fd=1e-3)
+        scale = max(abs(res["flow_derivative"]), abs(res["point_term"]), 1e-12)
+        assert abs(res["residual"]) / scale < 1e-2
+
+    def test_dt_fd_off_the_step_grid(self, mu):
+        # 1e-3 is not a whole number of 3e-4 steps: each piece of the flow
+        # and of the sweep ends with a short step
+        res = pde_residual(self.problem(), 0.2, 0.5, mu, SolverConfig(dt=3e-4), dt_fd=1e-3)
         scale = max(abs(res["flow_derivative"]), abs(res["point_term"]), 1e-12)
         assert abs(res["residual"]) / scale < 1e-2
 

@@ -1,10 +1,12 @@
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvlab import presets
 from mvlab.measures import (
@@ -127,6 +129,42 @@ def small_cloud(draw):
     )
     w = np.array(raw)
     return EmpiricalMeasure.from_atoms(np.array(pts), w / w.sum())
+
+
+@st.composite
+def weighted_cloud(draw):
+    n, d = draw(st.integers(1, 500)), draw(st.integers(1, 3))
+    # magnitudes kept clear of underflow, where rounding is not relative
+    coord = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    pts = draw(arrays(np.float64, (n, d), elements=coord))
+    raw = draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(1e-3, 1.0))))
+    assume(raw.sum() > 0)
+    return EmpiricalMeasure(pts, raw / raw.sum())
+
+
+def assert_fsum_close(value, terms):
+    """value is the sum of terms within N 4 eps times the sum of their
+    absolute values, N the number of atoms (terms has the atoms first)."""
+    terms = np.asarray(terms, dtype=float)
+    bound = terms.shape[0] * 4 * np.finfo(float).eps * math.fsum(np.abs(terms).ravel())
+    assert abs(value - math.fsum(terms.ravel())) <= bound
+
+
+class TestCloudReductions:
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_cloud())
+    def test_reductions_match_fsum(self, mu):
+        w, X = mu.weights, mu.points
+        for k in range(mu.dim):
+            assert_fsum_close(mu.mean()[k], w * X[:, k])
+        # the reference shares the centering; the sum over atoms is under test
+        c = X - mu.mean()
+        for i in range(mu.dim):
+            for j in range(mu.dim):
+                assert_fsum_close(mu.cov()[i, j], w * c[:, i] * c[:, j])
+        assert_fsum_close(mu.second_moment(), w[:, None] * X * X)
+        h = lambda P: P[:, -1] ** 3 - P[:, 0]
+        assert_fsum_close(mu.integrate(h), w * h(X))
 
 
 class TestWasserstein:
