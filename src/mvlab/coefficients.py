@@ -144,9 +144,8 @@ class MonotonicityConstants:
 def _isotropic_sigma(values: np.ndarray, d: int, m: int) -> np.ndarray:
     """Scalar field -> (N, d, m) multiples of the identity block."""
     out = np.zeros((values.shape[0], d, m))
-    k = min(d, m)
-    idx = np.arange(k)
-    out[:, idx, idx] = values[:, None]
+    for i in range(min(d, m)):
+        out[:, i, i] = values
     return out
 
 
@@ -186,7 +185,7 @@ def meanfield_ou_coefficients(
 
     def b(t, X, mu):
         X = np.atleast_2d(X)
-        return -lambda0 * X + kappa0 * np.broadcast_to(np.atleast_1d(mu.mean()), (X.shape[0], d))
+        return -lambda0 * X + kappa0 * np.atleast_1d(mu.mean())
 
     def sigma(t, X, mu):
         X = np.atleast_2d(X)

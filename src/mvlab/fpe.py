@@ -70,10 +70,16 @@ class NonlinearSolveError(RuntimeError):
 
 @dataclass
 class ConservationLog:
+    """What a march did: its mass and positivity audit, the most Picard
+    solves any step needed, and how many steps it took and how often it
+    evaluated the coefficient fields."""
+
     max_mass_drift: float = 0.0
     clipped_mass: float = 0.0
     worst_undershoot: float = 0.0
     picard_iterations_max: int = 0
+    steps: int = 0
+    field_evals: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -156,10 +162,9 @@ def _unchecked_grid(x_min: float, dx: float, values: np.ndarray) -> GridDensity1
 def _interface_coeffs(a: np.ndarray, v: np.ndarray, dx: float):
     """Flux G_{i+1/2} = p_i u_i + q_i u_{i+1} for interfaces i = 0..M-2."""
     vi = 0.5 * (v[:-1] + v[1:])
-    vp = np.maximum(vi, 0.0)
-    vm = np.minimum(vi, 0.0)
-    p = vp + a[:-1] / (2 * dx)
-    q = vm - a[1:] / (2 * dx)
+    half_a = a / (2 * dx)
+    p = np.maximum(vi, 0.0) + half_a[:-1]
+    q = np.minimum(vi, 0.0) - half_a[1:]
     return p, q
 
 
@@ -306,15 +311,21 @@ def _march(
     linear: bool = False,
 ) -> DensityPath:
     """Shared time loop; ``fields_at(t, u_view) -> (a, v)`` supplies the
-    per-step diffusion and drift fields on cell centers. With ``linear`` the
-    fields do not depend on u (the view is ``None``), so the semi-implicit
-    step evaluates them once, at the step's right end, and solves once: the
-    fixed point that Picard iteration would reach, and the step
-    ``solve_backward_kolmogorov`` transposes. Otherwise each Picard iterate
-    solves with the last fields, re-evaluates them at the step's right end
-    on the new iterate and stops once the step residual is below
-    ``PICARD_TOL``; after ``MAX_PICARD`` re-solves a residual above
-    1e3 ``PICARD_TOL`` raises ``NonlinearSolveError``."""
+    per-step diffusion and drift fields on cell centers. Every step ends at
+    its ``t_next`` from ``_time_steps``, and every right-end evaluation is at
+    that time. With ``linear`` the fields do not depend on u (the view is
+    ``None``), so the semi-implicit step evaluates them once, at its right
+    end, and solves once: the fixed point that Picard iteration would reach,
+    and the step ``solve_backward_kolmogorov`` transposes. Otherwise each
+    Picard solve uses the last fields, then evaluates them once at the right
+    end on the new iterate, and the step stops once its residual is below
+    ``PICARD_TOL``; after ``MAX_PICARD`` re-solves a residual above 1e3
+    ``PICARD_TOL`` raises ``NonlinearSolveError``. The left-end fields are
+    evaluated at the first step only: a step whose accepted iterate needed
+    no clipping hands its right-end fields, which saw those very values at
+    the next step's start time, to the next step. After a clip the next step
+    evaluates its left end again. ``log.field_evals`` counts the
+    evaluations."""
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     dx = u0.dx
@@ -322,23 +333,27 @@ def _march(
     mass0 = u.sum()
     steps = _time_steps(s, t_end, cfg.dt)
     n_steps = len(steps)
-    log = ConservationLog()
+    log = ConservationLog(steps=n_steps)
     times = [s]
     states = [u0]
+
+    def fields(t, u):
+        log.field_evals += 1
+        return fields_at(t, None if linear else _unchecked_grid(u0.x_min, dx, u / dx))
+
+    carried = None  # (p, q) at the next step's left end, from the last Picard iterate
     for k, (t, dt, t_next) in enumerate(steps):
         if cfg.scheme == "explicit":
-            a, v = fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx))
+            a, v = fields(t, u)
             _check_cfl(a, v, dx, dt)
             u_new = _explicit_step(u, a, v, dx, dt)
         elif linear:
-            a, v = fields_at(t + dt, None)
-            u_new = _solve(_fv_band(a, v, dx, dt), u)
+            u_new = _solve(_fv_band(*fields(t_next, u), dx, dt), u)
         else:
-            p, q = _interface_coeffs(*fields_at(t, _unchecked_grid(u0.x_min, dx, u / dx)), dx)
+            p, q = carried or _interface_coeffs(*fields(t, u), dx)
             for it in range(MAX_PICARD + 1):
                 u_new = _solve(_flux_band(p, q, dt / dx), u)
-                fields = fields_at(t + dt, _unchecked_grid(u0.x_min, dx, u_new / dx))
-                p, q = _interface_coeffs(*fields, dx)
+                p, q = _interface_coeffs(*fields(t_next, u_new), dx)
                 resid = u_new - u + dt / dx * _flux_divergence(u_new, p, q)
                 resid = float(np.max(np.abs(resid)))
                 if resid <= PICARD_TOL:
@@ -349,6 +364,7 @@ def _march(
                     f"Picard iteration did not converge at t={t:g} "
                     f"(residual {resid:.3e} after {MAX_PICARD} iterations)"
                 )
+            carried = p, q
         drift = abs(u_new.sum() - mass0)
         log.max_mass_drift = max(log.max_mass_drift, drift)
         if not drift <= MASS_STEP_TOL:  # NaN fails too
@@ -359,6 +375,8 @@ def _march(
                 f"undershoot {float(u_new.min()):.3e} below {CLIP_FLOOR:g} at t={t:g}"
             )
         u = _clip_and_log(u_new, log)
+        if u is not u_new:
+            carried = None  # the clip moved the values the carried fields saw
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             times.append(t_next)
             states.append(GridDensity1D(u0.x_min, dx, (u / u.sum()) / dx))
@@ -458,8 +476,7 @@ def solve_backward_kolmogorov(
         raise ValueError(f"w_end has shape {w.shape}, the flow grid has {grid.n_cells} cells")
     centers2d = grid.centers[:, None]
     frozen = coeffs.frozen
-    for t, dt, _ in reversed(_time_steps(s, t_end, cfg.dt)):
-        r = t + dt
+    for _, dt, r in reversed(_time_steps(s, t_end, cfg.dt)):
         mu_r = flow.state_at(r)
         a, v = _eval_fields(frozen, r, centers2d, mu_r)
         ab = _fv_band(a, v, grid.dx, dt, transpose=True)

@@ -8,6 +8,7 @@ import pytest
 
 from mvlab import cli
 from mvlab.cli import ConfigError, main, validate_config
+from mvlab.fpe import MAX_PICARD
 
 OU = {"family": "meanfield-ou", "lambda0": 1.0, "kappa0": 0.5, "sigma0": 1.0}
 SMALL = {"dt": 2e-3, "dx": 0.02, "x_min": -8.0, "n_cells": 800, "horizon": 0.2,
@@ -40,6 +41,17 @@ def test_each_experiment_runs(tmp_path, experiment):
     results = json.loads(Path(out, "results.json").read_text())
     assert results["experiment"] == experiment
     assert results["exit_code"] == 0
+
+
+def test_solve_fpe_reports_steps_and_field_evals(tmp_path):
+    out = str(tmp_path / "fpe")
+    path, _ = write_config(tmp_path, "fpe.json")
+    assert main(["run", path, "--out", out]) == 0
+    log = json.loads(Path(out, "results.json").read_text())["conservation"]
+    # horizon 0.2 at dt 2e-3; the first step evaluates its left end, and
+    # every Picard solve its right end
+    assert log["steps"] == 100
+    assert log["steps"] + 1 < log["field_evals"] <= log["steps"] * (MAX_PICARD + 1) + 1
 
 
 def test_ergodicity_experiment(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
-from mvlab.coefficients import CoefficientSet, heat_coefficients, meanfield_ou_coefficients
+from mvlab import fpe
+from mvlab.coefficients import (
+    CoefficientSet,
+    heat_coefficients,
+    meanfield_ou_coefficients,
+    nldbm_coefficients,
+)
 from mvlab.fpe import (
     MAX_PICARD,
     SPAN_SLACK,
@@ -25,7 +32,7 @@ from mvlab.fpe import (
 )
 from mvlab.measures import GridDensity1D, density_at
 from mvlab.particles import SimConfig, simulate_frozen
-from mvlab.presets import gaussian_grid as gaussian, tanh_test
+from mvlab.presets import arctan_params, gaussian_grid as gaussian, tanh_test
 
 X_MIN, DX, M = -8.0, 0.01, 1600
 
@@ -105,7 +112,7 @@ class TestMeanFieldOU:
 
         frozen = solve_frozen_fpe(gaussian(0.5, -1.0), flow, replace(cs, b_bar=b_bar),
                                   SolverConfig(dt=1e-3))
-        assert calls == [t + h for t, h, _ in _time_steps(0.0, 0.05, 1e-3)]
+        assert calls == [t_next for *_, t_next in _time_steps(0.0, 0.05, 1e-3)]
         assert frozen.log.picard_iterations_max == 0
 
     def test_frozen_matches_nonlinear_when_coefficients_agree(self):
@@ -149,6 +156,48 @@ class TestPicard:
         # the left end once, then the right end on each new iterate
         assert calls == [0.0] + [1e-3] * n
 
+    @staticmethod
+    def traced_march(monkeypatch, clip_returns_copy):
+        """Coefficient call times of a five-step density-dependent march,
+        each step's solve count, and the march's log."""
+        calls, solves, per_step = [], [0], []
+        solve, clip = fpe._solve, fpe._clip_and_log
+
+        def counted_solve(ab, rhs):
+            solves[0] += 1
+            return solve(ab, rhs)
+
+        def step_end(u, log):
+            per_step.append(solves[0])
+            solves[0] = 0
+            out = clip(u, log)
+            return out.copy() if clip_returns_copy else out
+
+        def b(t, X, mu):
+            calls.append(t)
+            return -density_at(mu, X[:, 0])[:, None]
+
+        monkeypatch.setattr(fpe, "_solve", counted_solve)
+        monkeypatch.setattr(fpe, "_clip_and_log", step_end)
+        cs = CoefficientSet(b=b, sigma=heat_coefficients(1, 1.0).sigma)
+        path = solve_nonlinear_fpe(gaussian(0.25), cs, 0.0, 5e-3, SolverConfig(dt=1e-3))
+        return calls, per_step, path.log
+
+    def test_unclipped_steps_carry_their_right_end_fields(self, monkeypatch):
+        calls, per_step, log = self.traced_march(monkeypatch, clip_returns_copy=False)
+        steps = _time_steps(0.0, 5e-3, 1e-3)
+        assert len(per_step) == len(steps) and max(per_step) > 1
+        # the first left end once, then the right end on each new iterate
+        assert calls == [0.0] + [t_next for (*_, t_next), n in zip(steps, per_step) for _ in range(n)]
+        assert (log.steps, log.field_evals) == (len(steps), len(calls))
+
+    def test_a_clipped_step_makes_the_next_evaluate_its_left_end(self, monkeypatch):
+        calls, per_step, log = self.traced_march(monkeypatch, clip_returns_copy=True)
+        steps = _time_steps(0.0, 5e-3, 1e-3)
+        assert len(per_step) == len(steps) and max(per_step) > 1
+        assert calls == [c for (t, _, t_next), n in zip(steps, per_step) for c in [t] + [t_next] * n]
+        assert (log.steps, log.field_evals) == (len(steps), len(calls))
+
     def test_unconverged_iteration_raises_after_max_picard(self):
         calls = []
 
@@ -160,6 +209,75 @@ class TestPicard:
         with pytest.raises(NonlinearSolveError, match="Picard"):
             self.one_step(b)
         assert len(calls) == MAX_PICARD + 2
+
+
+class TestStepTimes:
+    @pytest.mark.parametrize("s, t_end", [
+        (0.0, 0.02 + 1e-12),  # a full last step that ends 1e-12 past the step grid
+        (-0.0025, 1e-4),  # a short last step across t = 0
+    ])
+    def test_fields_are_evaluated_at_step_ends(self, s, t_end):
+        steps = _time_steps(s, t_end, 1e-3)
+        t, h, _ = steps[-1]
+        assert t + h != t_end
+        calls = []
+
+        def b(t, X, mu):
+            calls.append(t)
+            return -(1.0 + t) * X + 0.5 * mu.mean()
+
+        cs = CoefficientSet(b=b, sigma=heat_coefficients(1, 1.0).sigma)
+        cfg = SolverConfig(dt=1e-3)
+        u0 = gaussian(0.25, 0.5, -4.0, 0.04, 200)
+        flow = solve_nonlinear_fpe(u0, cs, s, t_end, cfg)
+        marched = calls[:]
+        calls.clear()
+        frozen = solve_frozen_fpe(u0, flow, cs, cfg)
+        stepped = calls[:]
+        calls.clear()
+        solve_backward_kolmogorov(np.tanh(u0.centers), flow, cs, cfg, s, t_end)
+        ends = [t_next for *_, t_next in steps]
+        assert marched[0] == s and set(marched[1:]) == set(ends)
+        assert stepped == ends and calls == ends[::-1]
+        assert flow.log.steps == frozen.log.steps == frozen.log.field_evals == len(steps)
+        assert flow.log.field_evals == len(marched)
+
+
+def _golden_meanfield_ou():
+    cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+    path = solve_nonlinear_fpe(gaussian(0.25, 1.0), cs, 0.0, 0.05, SolverConfig(dt=1e-3),
+                               record_every=10)
+    return path.states[-1].values
+
+
+def _golden_nldbm_arctan():
+    cs = nldbm_coefficients(arctan_params())
+    path = solve_nonlinear_fpe(gaussian(0.5, 0.0, -6.0, 0.02, 600), cs, 0.0, 0.05,
+                               SolverConfig(dt=1e-3), record_every=10)
+    return path.states[-1].values
+
+
+def _golden_backward_sweep():
+    cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+    cfg = SolverConfig(dt=1e-3)
+    flow = solve_nonlinear_fpe(gaussian(0.25, 1.0), cs, 0.0, 0.0503, cfg)
+    w_end = tanh_test().h(flow.states[0].centers[:, None])
+    return solve_backward_kolmogorov(w_end, flow, cs, cfg, 0.0, 0.0503)
+
+
+class TestGoldenBits:
+    # SHA-256 of FV results; a change that claims to keep the FV layer's
+    # bits must keep these
+    GOLDEN = [
+        (_golden_meanfield_ou, "451c4a259d2d3d73ed0dbc261d021bf6d4123f038f204cde4e4aefd250e70905"),
+        (_golden_nldbm_arctan, "65ab9b979322abd2d60a09cdf93bb589550cacdb0cbf9988d8b6abb85a5f3a4a"),
+        (_golden_backward_sweep, "220a01222ccc4f7b7aab856fd35d91705bfebfd7fcceca075143b38ffb6daf81"),
+    ]
+
+    @pytest.mark.parametrize("run, digest", GOLDEN, ids=[run.__name__[8:] for run, _ in GOLDEN])
+    def test_golden_digest(self, run, digest):
+        values = np.ascontiguousarray(run(), dtype=np.float64)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestWeakResidual:
