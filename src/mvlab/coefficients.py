@@ -89,11 +89,8 @@ class NLDBMParams:
     gamma: float
     gamma1: float
     b_scalar: Callable[[np.ndarray], np.ndarray]
-    b_scalar_prime: Callable[[np.ndarray], np.ndarray]
     Phi: Callable[[np.ndarray], np.ndarray]
     gradPhi: Callable[[np.ndarray], np.ndarray]
-    C: float = 1.0
-    alpha: float = 0.5
 
     def __post_init__(self):
         if not (0 < self.gamma < self.gamma1):

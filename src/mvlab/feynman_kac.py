@@ -71,10 +71,6 @@ class FKEstimate:
     n_samples: int
 
 
-def _flow_for(problem: FKProblem, t: float, mu: GridDensity1D, cfg: SolverConfig) -> DensityPath:
-    return solve_nonlinear_fpe(mu, problem.coeffs, t, problem.horizon, cfg)
-
-
 def fk_evaluate_mc(
     problem: FKProblem,
     t: float,
@@ -92,7 +88,7 @@ def fk_evaluate_mc(
     left-point rule. A flow that does not cover [t, horizon] raises
     ``ValueError``."""
     if flow is None:
-        flow = _flow_for(problem, t, mu, cfg)
+        flow = solve_nonlinear_fpe(mu, problem.coeffs, t, problem.horizon, cfg)
     x = np.asarray(x, dtype=float).reshape(1, problem.coeffs.d)
     frozen = problem.coeffs.frozen
     weight = np.ones(n_particles)
@@ -138,7 +134,7 @@ def fk_evaluate_grid(
     if problem.coeffs.d != 1:
         raise ValueError("grid backend is one-dimensional")
     if flow is None:
-        flow = _flow_for(problem, t, mu, cfg)
+        flow = solve_nonlinear_fpe(mu, problem.coeffs, t, problem.horizon, cfg)
     _check_flow(flow, mu, t, problem.horizon, "mu")
     w_end = problem.terminal(mu.centers[:, None], flow.state_at(problem.horizon))
     return solve_backward_kolmogorov(

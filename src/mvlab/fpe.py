@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .coefficients import CoefficientSet
-from .measures import GridDensity1D, InnerTest, csv_table
+from .measures import GridDensity1D, InnerTest
 
 __all__ = [
     "DensityPath",
@@ -47,7 +47,7 @@ MASS_STEP_TOL = 1e-12
 CFL_SAFETY = 0.9  # explicit steps stay below this fraction of the CFL bound
 MAX_PICARD = 20  # Picard iterations per nonlinear semi-implicit step
 PICARD_TOL = 1e-10  # max-norm step residual that ends the Picard iteration
-SPAN_SLACK = 1e-9  # how far a read may miss a record or its span (relative); covers() is absolute
+SPAN_SLACK = 1e-9  # how far a read may miss a record or its span (relative)
 CLIP_FLOOR = -1e-13
 CLIP_BUDGET = 1e-6
 SCHEMES = ("explicit", "semi_implicit")
@@ -99,7 +99,9 @@ class SolverConfig:
 
 @dataclass
 class DensityPath:
-    """Solution path on a shared grid, sampled at strictly increasing times."""
+    """Solution path on a shared grid, sampled at strictly increasing times.
+    It is read by ``state_at``; a frozen solve along it checks its [s, t_end]
+    by the same span rule, ``_check_span``."""
 
     times: np.ndarray
     states: list[GridDensity1D]
@@ -124,29 +126,6 @@ class DensityPath:
         """State recorded at time t; ``ValueError`` if no record lies at t or,
         with ``tol``, within tol of t (see ``_record_index``)."""
         return self.states[_record_index(self.times, t, tol)]
-
-    def covers(self, s: float, t: float) -> bool:
-        return self.t_start <= s + SPAN_SLACK and t <= self.t_end + SPAN_SLACK
-
-    def to_csv(self) -> str:
-        g, n = self.states[0], len(self.states)
-        return csv_table(["t", "x", "u"], [
-            np.repeat(self.times, g.n_cells),
-            np.tile(g.centers, n),
-            np.concatenate([st.values for st in self.states]),
-        ])
-
-    def manifest(self) -> dict:
-        g = self.states[0]
-        return {
-            "x_min": g.x_min,
-            "dx": g.dx,
-            "n_cells": g.n_cells,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "n_records": len(self.states),
-            "conservation": self.log.to_dict(),
-        }
 
 
 def _unchecked_grid(x_min: float, dx: float, values: np.ndarray) -> GridDensity1D:
@@ -276,18 +255,25 @@ def _time_steps(s: float, t_end: float, dt: float) -> list[tuple[float, float, f
     return list(zip(starts, sizes, ends))
 
 
-def _record_index(times: np.ndarray, t: float, tol: float | None = None) -> int:
-    """Index of the record at time t, the one lookup of a recorded flow.
-    The read must hit a record up to a relative ``SPAN_SLACK``; an explicit
-    ``tol`` accepts the nearest record within tol instead. Raises
-    ``ValueError`` when t lies outside [times[0], times[-1]] by more than a
-    relative ``SPAN_SLACK`` (the slack by which ``_time_steps`` lets a full
-    last step overshoot its end), or when no record is close enough."""
+def _check_span(times: np.ndarray, t: float) -> None:
+    """``ValueError`` unless t lies in [times[0], times[-1]] up to a relative
+    ``SPAN_SLACK`` (the slack by which ``_time_steps`` lets a full last step
+    overshoot its end). The one span rule of a recorded flow: every read and
+    both ends of every frozen solve along the flow are held to it."""
     slack = SPAN_SLACK * max(1.0, abs(t))
     if not times[0] - slack <= t <= times[-1] + slack:
         raise ValueError(f"t={t} lies outside the recorded span [{times[0]}, {times[-1]}]")
+
+
+def _record_index(times: np.ndarray, t: float, tol: float | None = None) -> int:
+    """Index of the record at time t, the one lookup of a recorded flow.
+    t must pass ``_check_span``, and the read must hit a record up to a
+    relative ``SPAN_SLACK``; an explicit ``tol`` accepts the nearest record
+    within tol instead. Raises ``ValueError`` when t is outside the span or
+    no record is close enough."""
+    _check_span(times, t)
     if tol is None:
-        tol = slack
+        tol = SPAN_SLACK * max(1.0, abs(t))
     # the nearest of the two records around t, ties to the lower index as
     # argmin(|times - t|) would break them
     i = int(np.searchsorted(times, t))  # times[i - 1] < t <= times[i]
@@ -306,26 +292,27 @@ def _march(
     s: float,
     t_end: float,
     cfg: SolverConfig,
-    fields_at: Callable,
+    coeffs: CoefficientSet,
+    flow: DensityPath | None = None,
     record_every: int = 1,
-    linear: bool = False,
 ) -> DensityPath:
-    """Shared time loop; ``fields_at(t, u_view) -> (a, v)`` supplies the
-    per-step diffusion and drift fields on cell centers. Every step ends at
-    its ``t_next`` from ``_time_steps``, and every right-end evaluation is at
-    that time. With ``linear`` the fields do not depend on u (the view is
-    ``None``), so the semi-implicit step evaluates them once, at its right
-    end, and solves once: the fixed point that Picard iteration would reach,
-    and the step ``solve_backward_kolmogorov`` transposes. Otherwise each
-    Picard solve uses the last fields, then evaluates them once at the right
-    end on the new iterate, and the step stops once its residual is below
-    ``PICARD_TOL``; after ``MAX_PICARD`` re-solves a residual above 1e3
-    ``PICARD_TOL`` raises ``NonlinearSolveError``. The left-end fields are
-    evaluated at the first step only: a step whose accepted iterate needed
-    no clipping hands its right-end fields, which saw those very values at
-    the next step's start time, to the next step. After a clip the next step
-    evaluates its left end again. ``log.field_evals`` counts the
-    evaluations."""
+    """Shared time loop. Without ``flow`` it marches the nonlinear equation:
+    the fields of ``coeffs`` see the evolving density. With ``flow`` it
+    marches the frozen one: the fields of ``coeffs.frozen`` see
+    ``flow.state_at(t)``. Every step ends at its ``t_next`` from
+    ``_time_steps``, and every right-end evaluation is at that time. Frozen
+    fields do not depend on u, so the semi-implicit step evaluates them
+    once, at its right end, and solves once: the fixed point that Picard
+    iteration would reach, and the step ``solve_backward_kolmogorov``
+    transposes. Otherwise each Picard solve uses the last fields, then
+    evaluates them once at the right end on the new iterate, and the step
+    stops once its residual is below ``PICARD_TOL``; after ``MAX_PICARD``
+    re-solves a residual above 1e3 ``PICARD_TOL`` raises
+    ``NonlinearSolveError``. The left-end fields are evaluated at the first
+    step only: a step whose accepted iterate needed no clipping hands its
+    right-end fields, which saw those very values at the next step's start
+    time, to the next step. After a clip the next step evaluates its left
+    end again. ``log.field_evals`` counts the evaluations."""
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     dx = u0.dx
@@ -336,10 +323,14 @@ def _march(
     log = ConservationLog(steps=n_steps)
     times = [s]
     states = [u0]
+    centers2d = u0.centers[:, None]
+    if flow is not None:
+        coeffs = coeffs.frozen
 
     def fields(t, u):
         log.field_evals += 1
-        return fields_at(t, None if linear else _unchecked_grid(u0.x_min, dx, u / dx))
+        mu = _unchecked_grid(u0.x_min, dx, u / dx) if flow is None else flow.state_at(t)
+        return _eval_fields(coeffs, t, centers2d, mu)
 
     carried = None  # (p, q) at the next step's left end, from the last Picard iterate
     for k, (t, dt, t_next) in enumerate(steps):
@@ -347,7 +338,7 @@ def _march(
             a, v = fields(t, u)
             _check_cfl(a, v, dx, dt)
             u_new = _explicit_step(u, a, v, dx, dt)
-        elif linear:
+        elif flow is not None:
             u_new = _solve(_fv_band(*fields(t_next, u), dx, dt), u)
         else:
             p, q = carried or _interface_coeffs(*fields(t, u), dx)
@@ -404,18 +395,12 @@ def solve_nonlinear_fpe(
     """March the nonlinear equation: coefficients see the evolving density."""
     if t_end < s:
         raise ValueError("t_end must be >= s")
-
-    centers2d = u0.centers[:, None]
-
-    def fields_at(t, view):
-        return _eval_fields(coeffs, t, centers2d, view)
-
-    return _march(u0, s, t_end, cfg, fields_at, record_every)
+    return _march(u0, s, t_end, cfg, coeffs, record_every=record_every)
 
 
 def _check_flow(flow: DensityPath, grid: GridDensity1D, s: float, t_end: float, what: str) -> None:
-    if not flow.covers(s, t_end):
-        raise ValueError(f"flow covers [{flow.t_start}, {flow.t_end}], not [{s}, {t_end}]")
+    _check_span(flow.times, s)
+    _check_span(flow.times, t_end)
     ref = flow.states[0]
     if ref.n_cells != grid.n_cells or abs(ref.x_min - grid.x_min) > 1e-12 or abs(ref.dx - grid.dx) > 1e-15:
         raise ValueError(f"{what} grid does not match the flow grid")
@@ -431,17 +416,12 @@ def solve_frozen_fpe(
     record_every: int = 1,
 ) -> DensityPath:
     """March the linear equation of the frozen fields ``coeffs.frozen``,
-    which see the stored flow."""
+    which see the stored flow. [s, t_end] defaults to the flow's span and
+    must lie within it by the span rule of its reads (``_check_span``)."""
     s = flow.t_start if s is None else s
     t_end = flow.t_end if t_end is None else t_end
     _check_flow(flow, nu0, s, t_end, "nu0")
-    centers2d = nu0.centers[:, None]
-    frozen = coeffs.frozen
-
-    def fields_at(t, view):
-        return _eval_fields(frozen, t, centers2d, flow.state_at(t))
-
-    return _march(nu0, s, t_end, cfg, fields_at, record_every, linear=True)
+    return _march(nu0, s, t_end, cfg, coeffs, flow, record_every)
 
 
 def solve_backward_kolmogorov(

@@ -128,12 +128,11 @@ def kernel_law(
     The measure coordinate moves to the nonlinear flow started from zeta at
     time s; the point coordinate law is the frozen linear flow started from
     a point mass at x. Pass a precomputed ``flow`` (covering [s, t], started
-    from zeta) to share it across evaluations.
+    from zeta) to share it across evaluations; the frozen solve raises
+    ``ValueError`` if [s, t] is outside its span (``fpe._check_span``).
     """
     if flow is None:
         flow = solve_nonlinear_fpe(zeta, coeffs, s, t, cfg)
-    elif not flow.covers(s, t):
-        raise ValueError("provided flow does not cover [s, t]")
     nu0 = delta_on_grid(x, zeta)
     nu = solve_frozen_fpe(nu0, flow, coeffs, cfg, s=s, t_end=t)
     return ProductLaw(point_law=nu.states[-1], measure_atom=flow.state_at(t))

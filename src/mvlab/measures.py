@@ -171,10 +171,6 @@ class GridDensity1D:
         """Cell centers, read-only and shared by every density on this grid."""
         return _grid_centers(self.x_min, self.dx, self.n_cells)
 
-    @property
-    def dim(self) -> int:
-        return 1
-
     def check_inside_centers(self, x: float) -> None:
         """``ValueError`` unless x lies between the first and the last cell
         center, where values on the centers interpolate without clamping."""

@@ -83,11 +83,11 @@ def _law(X: np.ndarray, kde: KDESpec | None) -> EmpiricalMeasure:
 class PathEnsemble:
     """Recorded particle positions at increasing times. Rows of ``positions``
     follow the increasing ``stream_indices``: the caller's order for the
-    default ``arange``."""
+    default ``arange``. It is read by ``marginal_at`` (or ``marginal``),
+    whose span rule is that of ``fpe._record_index``."""
 
     times: np.ndarray
     positions: np.ndarray  # (n_records, n_particles, d)
-    seed: int
     stream_indices: np.ndarray
     kde: KDESpec | None = None
 
@@ -97,22 +97,6 @@ class PathEnsemble:
             raise ValueError("times/positions length mismatch")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[2]
-
-    @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
 
     def marginal(self, i: int) -> EmpiricalMeasure:
         """Empirical law at record index i, with the density view if configured."""
@@ -224,7 +208,6 @@ def _simulate(
     return PathEnsemble(
         times=np.asarray(times),
         positions=np.stack(records),
-        seed=cfg.seed,
         stream_indices=stream_indices,
         kde=cfg.kde,
     )
@@ -248,7 +231,7 @@ def simulate_mckean_vlasov(
 
 def simulate_frozen(
     x0: np.ndarray,
-    flow,
+    flow: Callable[[float], object],
     coeffs: CoefficientSet,
     s: float,
     t_end: float,
@@ -258,21 +241,16 @@ def simulate_frozen(
     """Linear dynamics of the frozen fields ``coeffs.frozen``, which see a
     stored measure flow.
 
-    ``flow`` may be a grid-density path (``state_at``), a particle ensemble
-    (``marginal_at``), or a callable t -> measure. Each step reads the law
-    recorded at the step's start time, so a recorded flow must hold a record
+    ``flow`` is a callable t -> law, such as a grid-density path's
+    ``state_at`` or a particle ensemble's ``marginal_at``. Each step reads
+    the law at the step's start time, so a recorded flow must hold a record
     at every step start in [s, t_end]; a missing record raises ``ValueError``
     at the first step without one. A callable may read stale records on
     purpose, e.g. ``lambda t: ens.marginal_at(t, tol=...)``.
     """
-    flow_at = getattr(flow, "state_at", None) or getattr(flow, "marginal_at", None)
-    if flow_at is None:
-        if not callable(flow):
-            raise TypeError("flow must expose state_at, marginal_at, or be callable")
-        flow_at = flow
     frozen = coeffs.frozen
 
     def drift_diffusion(t, h, X):
-        return frozen.fields(t, X, flow_at(t))
+        return frozen.fields(t, X, flow(t))
 
     return _simulate(x0, s, t_end, cfg, drift_diffusion, stream_indices)

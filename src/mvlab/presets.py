@@ -28,11 +28,8 @@ def arctan_params(C: float = 1.0, alpha: float = 0.5) -> NLDBMParams:
         gamma=2.0,
         gamma1=3.0,
         b_scalar=lambda r: 1 / (1 + r**2),
-        b_scalar_prime=lambda r: -2 * r / (1 + r**2) ** 2,
         Phi=Phi,
         gradPhi=gradPhi,
-        C=C,
-        alpha=alpha,
     )
 
 

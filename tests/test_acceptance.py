@@ -42,9 +42,7 @@ from mvlab.measures import (
     EmpiricalMeasure,
     InnerTest,
     intrinsic_gradient,
-    kde_density,
     sample_density,
-    silverman_bandwidth,
     w2_gaussian_1d,
     w2_to_quantile,
     wasserstein2,
@@ -88,9 +86,7 @@ def test_criterion_1_fpe_sde_equivalence():
         )
         errs = []
         for t in times:
-            cloud = ens.marginal_at(t, tol=1e-6)
-            est = kde_density(cloud, -12.0, 0.01, 2400,
-                              silverman_bandwidth(cloud), method="binned")
+            est = ens.marginal_at(t, tol=1e-6).density
             ref = path.state_at(t, tol=1e-6)
             errs.append(float(np.abs(est.values - ref.values).sum() * 0.01))
         return np.array(errs)
@@ -355,7 +351,7 @@ def test_criterion_7_lifted_generator():
     flow = solve_nonlinear_fpe(mu0, cs, 0.0, 1.0, cfg)
     n = 20_000
     x0 = sample_density(mu0, n, np.random.default_rng(70)).points
-    ens = simulate_frozen(x0, flow, cs, 0.0, 1.0,
+    ens = simulate_frozen(x0, flow.state_at, cs, 0.0, 1.0,
                           SimConfig(dt=1e-3, seed=71, record_every=50))
     t, step = 0.5, 0.05
     gaps, tols = [], []

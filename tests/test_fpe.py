@@ -317,7 +317,23 @@ class TestPathContainer:
         with pytest.raises(ValueError, match="no record"):
             solve_frozen_fpe(gaussian(0.5, -1.0), flow, cs, SolverConfig(dt=1e-3))
         with pytest.raises(ValueError, match="no record"):
-            simulate_frozen(np.zeros((10, 1)), flow, cs, 0.0, 0.05, SimConfig(dt=1e-3, seed=0))
+            simulate_frozen(np.zeros((10, 1)), flow.state_at, cs, 0.0, 0.05, SimConfig(dt=1e-3, seed=0))
+
+    def test_reads_and_frozen_solves_share_one_span_rule(self):
+        # the relative slack at t = 4 is 4e-9: 3e-9 past the flow's end is
+        # inside it for a read and a solve alike, 5e-9 is outside for both
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        cfg = SolverConfig(dt=1e-2)
+        flow = solve_nonlinear_fpe(gaussian(0.25, 1.0), cs, 0.0, 4.0, cfg)
+        nu0 = gaussian(0.5, -1.0)
+        t_end = 4.0 + 3e-9
+        assert flow.state_at(t_end) is flow.states[-1]
+        assert solve_frozen_fpe(nu0, flow, cs, cfg, t_end=t_end).times[-1] == t_end
+        t_end = 4.0 + 5e-9
+        with pytest.raises(ValueError, match="span"):
+            flow.state_at(t_end)
+        with pytest.raises(ValueError, match="span"):
+            solve_frozen_fpe(nu0, flow, cs, cfg, t_end=t_end)
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(-5.0, 5.0), st.floats(1e-4, 0.1), st.integers(1, 200), st.floats(0.01, 1.0))
@@ -357,18 +373,6 @@ class TestPathContainer:
                 solve_frozen_fpe(u0, flow, cs, cfg, record_every=record_every)
             else:
                 solve_nonlinear_fpe(u0, cs, 0.0, 0.01, cfg, record_every=record_every)
-
-    def test_csv_and_manifest(self):
-        path = solve_nonlinear_fpe(gaussian(0.25), heat_coefficients(1, 1.0), 0.0, 0.01,
-                                   SolverConfig(dt=1e-3), record_every=5)
-        text = path.to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,x,u"
-        assert len(lines) == 1 + len(path.times) * M
-        man = path.manifest()
-        assert man["n_cells"] == M
-        assert man["t_end"] == pytest.approx(0.01)
-        assert man["conservation"]["max_mass_drift"] <= 1e-12
 
     def test_grid_mismatch_rejected(self):
         cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)

@@ -180,7 +180,7 @@ class TestFrozen:
         x0 = initial_cloud(2000)
         cfg = SimConfig(dt=1e-3, seed=5, record_every=1)
         ens = simulate_mckean_vlasov(x0, ou, 0.0, 0.2, cfg)
-        frozen = simulate_frozen(x0, ens, ou, 0.0, 0.2, cfg)
+        frozen = simulate_frozen(x0, ens.marginal_at, ou, 0.0, 0.2, cfg)
         # same noise, coefficients frozen along the recorded flow: paths agree
         # up to the O(dt) lag of the frozen mean
         assert np.abs(frozen.positions[-1] - ens.positions[-1]).max() < 1e-3
@@ -193,11 +193,6 @@ class TestFrozen:
         ens = simulate_frozen(x0, lambda t: target, ou, 0.0, 0.1,
                               SimConfig(dt=1e-3, seed=6))
         assert ens.positions.shape[1] == 200
-
-    def test_bad_flow_type_rejected(self, ou):
-        with pytest.raises(TypeError):
-            simulate_frozen(initial_cloud(10), object(), ou, 0.0, 0.1,
-                            SimConfig(dt=1e-3, seed=0))
 
 
 class TestValidation:
@@ -216,7 +211,7 @@ class TestValidation:
     def test_flow_must_cover_horizon(self, ou):
         flow = solve_nonlinear_fpe(gaussian_grid(0.25), ou, 0.0, 0.2, SolverConfig(dt=1e-2))
         with pytest.raises(ValueError, match="span"):
-            simulate_frozen(initial_cloud(10), flow, ou, 0.0, 1.0,
+            simulate_frozen(initial_cloud(10), flow.state_at, ou, 0.0, 1.0,
                             SimConfig(dt=1e-2, seed=0))
 
     def test_stream_indices_must_be_distinct(self, ou):
