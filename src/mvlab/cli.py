@@ -267,7 +267,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         for t, st in zip(frozen.times, frozen.states):
             ref = flow.state_at(t)
             ts.append(t)
-            l1s.append(float(np.abs(st.values - ref.values).sum() * dx))
+            l1s.append(st.l1_distance(ref))
             w2s.append(wasserstein2(grid_to_measure(st), grid_to_measure(ref)))
         _write(os.path.join(out_dir, "results.csv"), csv_table(["t", "l1", "w2"], [ts, l1s, w2s]))
         results["final_l1"] = l1s[-1]

@@ -6,7 +6,8 @@ sampling-based validators for the structural hypotheses each family claims.
 Coefficient callables are vectorized: ``b(t, X, mu) -> (N, d)`` and
 ``sigma(t, X, mu) -> (N, d, m)`` for point batches ``X`` of shape ``(N, d)``.
 The measure argument is any object with ``mean()``/``second_moment()`` and,
-for Nemytskii coefficients, a density view (see ``measures.density_at``).
+for Nemytskii coefficients, ``density_at(x)`` (a grid density reads its
+cells, a particle cloud its attached KDE view).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, density_at
+from .measures import EmpiricalMeasure
 
 __all__ = [
     "CoefficientSet",
@@ -138,10 +139,10 @@ class MonotonicityConstants:
             )
 
 
-def _isotropic_sigma(values: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Scalar field -> (N, d, m) multiples of the identity block."""
-    out = np.zeros((values.shape[0], d, m))
-    for i in range(min(d, m)):
+def _isotropic_sigma(values: np.ndarray, d: int) -> np.ndarray:
+    """Scalar field -> (N, d, d) multiples of the identity."""
+    out = np.zeros((values.shape[0], d, d))
+    for i in range(d):
         out[:, i, i] = values
     return out
 
@@ -156,13 +157,13 @@ def nldbm_coefficients(p: NLDBMParams) -> CoefficientSet:
 
     def b(t, X, mu):
         X = np.atleast_2d(X)
-        u = density_at(mu, X[:, 0])
+        u = mu.density_at(X[:, 0])
         return -np.asarray(p.b_scalar(u), dtype=float)[:, None] * np.asarray(p.gradPhi(X), dtype=float)
 
     def sigma(t, X, mu):
         X = np.atleast_2d(X)
-        u = density_at(mu, X[:, 0])
-        return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), 1, 1)
+        u = mu.density_at(X[:, 0])
+        return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), 1)
 
     return CoefficientSet(b=b, sigma=sigma, d=1)
 
@@ -186,7 +187,7 @@ def meanfield_ou_coefficients(
 
     def sigma(t, X, mu):
         X = np.atleast_2d(X)
-        return _isotropic_sigma(np.full(X.shape[0], sigma0), d, d)
+        return _isotropic_sigma(np.full(X.shape[0], sigma0), d)
 
     consts = MonotonicityConstants(
         K=max(lambda0, abs(kappa0), sigma0) + 1.0,
@@ -206,7 +207,7 @@ def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
 
     def sigma(t, X, mu):
         X = np.atleast_2d(X)
-        return _isotropic_sigma(np.full(X.shape[0], np.sqrt(diffusion)), d, d)
+        return _isotropic_sigma(np.full(X.shape[0], np.sqrt(diffusion)), d)
 
     return CoefficientSet(b=b, sigma=sigma, d=d)
 
@@ -298,12 +299,13 @@ def _validate_monotone(coeffs: CoefficientSet, consts: MonotonicityConstants, n,
         mu = _two_atom_measure(rng, d)
         nu = _two_atom_measure(rng, d)
         w2 = _w2_two_atom(mu, nu)
+        size = 0.0  # |b| + |sigma| of both sets at (x, mu), summed left to right
         for name, cs, kappa, lam in dynamics:
             (bx, sx), (by, sy) = cs.fields(t, x, mu), cs.fields(t, y, nu)
             lhs = 2 * np.dot(bx[0] - by[0], (x - y)[0]) + np.sum((sx[0] - sy[0]) ** 2)
             rhs = kappa * w2**2 - lam * np.sum((x - y) ** 2)
             margins[name] = min(margins[name], rhs - lhs)
-        size = sum(np.linalg.norm(f[0]) for cs in (coeffs, frozen) for f in cs.fields(t, x, mu))
+            size = size + np.linalg.norm(bx[0]) + np.linalg.norm(sx[0])
         bound = consts.K * (1 + np.linalg.norm(x) + np.sqrt(mu.second_moment()))
         margins["linear_growth"] = min(margins["linear_growth"], bound - size)
     rep = HypothesisReport()

@@ -79,7 +79,7 @@ def find_invariant(
     while t < max_time:
         path = solve_nonlinear_fpe(state, coeffs, t, t + check_interval, cfg, record_every=10**9)
         new = path.states[-1]
-        drift = float(np.abs(new.values - state.values).sum() * state.dx)
+        drift = new.l1_distance(state)
         state = new
         t += check_interval
         if drift < tol:

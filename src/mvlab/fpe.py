@@ -242,11 +242,14 @@ def _time_steps(s: float, t_end: float, dt: float) -> list[tuple[float, float, f
     h = t_end - t_k; the last step ends at t_end exactly. This is the one
     rule from (s, t_end, dt) to steps: the FPE march, the backward sweep,
     the particle simulator and the Feynman-Kac Monte Carlo backend all step
-    by it, so their steps coincide."""
-    n = max(int(round((t_end - s) / dt)), 0)
+    by it, so their steps coincide, and all raise ``ValueError`` for a
+    reversed interval t_end < s."""
+    if t_end < s:
+        raise ValueError(f"t_end must be >= s, got s={s}, t_end={t_end}")
+    n = int(round((t_end - s) / dt))
     full = abs(s + n * dt - t_end) <= 1e-9 * max(1.0, abs(t_end))
     if not full:
-        n = max(int(np.ceil((t_end - s) / dt - 1e-12)), 0)
+        n = int(np.ceil((t_end - s) / dt - 1e-12))
     starts = [s + k * dt for k in range(n)]
     ends = starts[1:] + [t_end]
     sizes = [dt] * n
@@ -371,9 +374,7 @@ def _march(
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             times.append(t_next)
             states.append(GridDensity1D(u0.x_min, dx, (u / u.sum()) / dx))
-    path = DensityPath(np.asarray(times), states)
-    path.log = log
-    return path
+    return DensityPath(np.asarray(times), states, log)
 
 
 def _flux_divergence(u, p, q):
@@ -393,8 +394,6 @@ def solve_nonlinear_fpe(
     record_every: int = 1,
 ) -> DensityPath:
     """March the nonlinear equation: coefficients see the evolving density."""
-    if t_end < s:
-        raise ValueError("t_end must be >= s")
     return _march(u0, s, t_end, cfg, coeffs, record_every=record_every)
 
 
@@ -482,16 +481,13 @@ def fpe_weak_residual(
     trapezoidal quadrature over the recorded times. For frozen paths pass
     the driving flow: L is then that of ``coeffs.frozen``, evaluated on it.
     """
-    centers2d = path.states[0].centers[:, None]
     gen_coeffs = coeffs if flow is None else coeffs.frozen
 
     def generator_integral(t, state):
-        mu_for_coeffs = state if flow is None else flow.state_at(t)
-        Lh = gen_coeffs.generator(t, centers2d, mu_for_coeffs, h)
-        return float(state.dx * np.dot(state.values, Lh))
+        mu = state if flow is None else flow.state_at(t)
+        return state.integrate(lambda X: gen_coeffs.generator(t, X, mu, h))
 
-    hv = np.asarray(h.h(centers2d), dtype=float)
-    mu_h = np.array([float(st.dx * np.dot(st.values, hv)) for st in path.states])
+    mu_h = np.array([st.integrate(h.h) for st in path.states])
     gen = np.array([generator_integral(t, st) for t, st in zip(path.times, path.states)])
     integral = np.concatenate([[0.0], np.cumsum(0.5 * (gen[1:] + gen[:-1]) * np.diff(path.times))])
     return mu_h - mu_h[0] - integral

@@ -38,11 +38,8 @@ __all__ = [
     "kernel_evaluate",
     "check_split",
     "chapman_kolmogorov_residual",
-    "heat_semigroup_ck_residual",
     "measure_flow_derivative_residual",
 ]
-
-HERMITE_NODES = 80  # Gauss-Hermite nodes of ``heat_semigroup_ck_residual``
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,7 @@ class ProductLaw:
 
     def integrate(self, G) -> float:
         """int G d(nu x delta_mu) = int G(y, mu) nu(dy)."""
-        vals = np.asarray(G(self.point_law.centers[:, None], self.measure_atom), dtype=float)
-        return float(self.point_law.dx * np.dot(self.point_law.values, vals))
+        return self.point_law.integrate(lambda y: G(y, self.measure_atom))
 
 
 def apply_measure_generator(F: CylindricalFunction, coeffs: CoefficientSet, t: float, mu) -> float:
@@ -203,34 +199,6 @@ def chapman_kolmogorov_residual(
     g_t = G(zeta.centers[:, None], flow.state_at(t))
     w_r = solve_backward_kolmogorov(g_t, flow, coeffs, cfg, r, t)
     composed = float(np.dot(ws, np.interp(ys, zeta.centers, w_r)))
-    return abs(direct - composed)
-
-
-def heat_semigroup_ck_residual(
-    h,
-    s: float,
-    r: float,
-    t: float,
-    x: float,
-) -> float:
-    """Chapman-Kolmogorov defect of the exact heat semigroup (unit diffusion),
-
-        | N(x, t-s)(h) - int N(y, t-r)(h) N(x, r-s)(dy) |,
-
-    by Gauss-Hermite quadrature with ``HERMITE_NODES`` nodes. For smooth h
-    this is pure quadrature error.
-    """
-    if not (s < r < t):
-        raise ValueError("need s < r < t")
-    nodes, weights = np.polynomial.hermite_e.hermegauss(HERMITE_NODES)
-    weights = weights / np.sqrt(2 * np.pi)
-
-    def semigroup(y, tau):
-        return float(np.dot(weights, h(y + np.sqrt(tau) * nodes)))
-
-    direct = semigroup(x, t - s)
-    inner = np.array([semigroup(x + np.sqrt(r - s) * z, t - r) for z in nodes])
-    composed = float(np.dot(weights, inner))
     return abs(direct - composed)
 
 

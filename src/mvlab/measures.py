@@ -31,7 +31,6 @@ __all__ = [
     "pushforward",
     "intrinsic_gradient",
     "grid_to_measure",
-    "density_at",
     "silverman_bandwidth",
     "csv_table",
 ]
@@ -79,7 +78,8 @@ class EmpiricalMeasure:
 
     ``density`` optionally attaches a 1-D grid density view (typically a KDE of
     the cloud) so that Nemytskii-type coefficients can evaluate the cloud's
-    density at a point; moments are always computed from the atoms themselves.
+    density at a point (``density_at``); moments are always computed from the
+    atoms themselves.
     """
 
     points: np.ndarray
@@ -137,6 +137,16 @@ class EmpiricalMeasure:
     def with_density(self, density: "GridDensity1D") -> "EmpiricalMeasure":
         return replace(self, density=density)
 
+    def density_at(self, x) -> np.ndarray:
+        """The attached density view at the points x; ``MeasureViewError``
+        when none is attached."""
+        if self.density is None:
+            raise MeasureViewError(
+                "empirical measure has no density view; attach one with "
+                "with_density(kde_density(...))"
+            )
+        return self.density.density_at(x)
+
     def sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
         if self.dim != 1:
             raise ValueError("sorted_1d requires dim == 1")
@@ -191,8 +201,14 @@ class GridDensity1D:
         return out
 
     def integrate(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Cell-midpoint rule dx * sum_i u_i h(c_i), with h called on the
+        (M, 1) cell centers: the one grid integral of the package."""
         vals = np.asarray(h(self.centers[:, None]), dtype=float)
         return float(self.dx * np.dot(self.values, vals))
+
+    def l1_distance(self, other: "GridDensity1D") -> float:
+        """dx * sum_i |u_i - v_i| to a density on the same grid."""
+        return float(np.abs(self.values - other.values).sum() * self.dx)
 
     def mean(self) -> np.ndarray:
         return np.array([self.dx * np.dot(self.values, self.centers)])
@@ -232,24 +248,6 @@ def _grid_centers(x_min: float, dx: float, n_cells: int) -> np.ndarray:
     return centers
 
 
-def density_at(mu, x) -> np.ndarray:
-    """Density view of a measure at points ``x`` (1-D values).
-
-    Grid densities evaluate by cell lookup; particle clouds must carry an
-    attached density view (KDE), otherwise this raises ``MeasureViewError``.
-    """
-    if isinstance(mu, GridDensity1D):
-        return mu.density_at(x)
-    if isinstance(mu, EmpiricalMeasure):
-        if mu.density is None:
-            raise MeasureViewError(
-                "empirical measure has no density view; attach one with "
-                "with_density(kde_density(...))"
-            )
-        return mu.density.density_at(x)
-    raise MeasureViewError(f"no density view for {type(mu).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # cylindrical functions F(mu) = f(mu(h_1), ..., mu(h_n))
 # ---------------------------------------------------------------------------
@@ -271,10 +269,6 @@ class CylindricalFunction:
     inner: Sequence[InnerTest]
     outer: Callable[[np.ndarray], float]
     outer_grad: Callable[[np.ndarray], np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return len(self.inner)
 
     def inner_values(self, mu) -> np.ndarray:
         return np.array([mu.integrate(t.h) for t in self.inner])

@@ -125,10 +125,9 @@ def _normals(seed: int, stream_indices: np.ndarray, d: int) -> Callable[[int], n
     The block plan is made here, once per simulation: each block's rows in
     the cloud and how its offsets lie. A block whose offsets run 0, 1, 2, ...
     draws straight into its rows of the output; any other block draws into a
-    scratch buffer, then copies a slice of it (contiguous offsets) or gathers
-    its rows. One Philox generator serves every block of every step, its
-    counter set through ``state``. Every call returns the same output array,
-    overwritten.
+    scratch buffer, then gathers its rows. One Philox generator serves every
+    block of every step, its counter set through ``state``. Every call
+    returns the same output array, overwritten.
     """
     blocks, offsets = np.divmod(stream_indices, _BLOCK)
     cuts = np.r_[0, np.flatnonzero(np.diff(blocks)) + 1, len(blocks)]
@@ -136,13 +135,7 @@ def _normals(seed: int, stream_indices: np.ndarray, d: int) -> Callable[[int], n
     for r0, r1 in itertools.pairwise(cuts.tolist()):
         off = offsets[r0:r1]  # strictly increasing
         n_draw = int(off[-1]) + 1
-        if n_draw == r1 - r0:
-            taken = None
-        elif n_draw - off[0] == r1 - r0:
-            taken = slice(int(off[0]), n_draw)
-        else:
-            taken = off
-        plan.append((int(blocks[r0]), r0, r1, n_draw, taken))
+        plan.append((int(blocks[r0]), r0, r1, n_draw, None if n_draw == r1 - r0 else off))
 
     bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)

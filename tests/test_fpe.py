@@ -30,8 +30,9 @@ from mvlab.fpe import (
     solve_frozen_fpe,
     solve_nonlinear_fpe,
 )
-from mvlab.measures import GridDensity1D, density_at
-from mvlab.particles import SimConfig, simulate_frozen
+from mvlab.feynman_kac import FKProblem, fk_evaluate_grid, fk_evaluate_mc
+from mvlab.measures import GridDensity1D
+from mvlab.particles import SimConfig, simulate_frozen, simulate_mckean_vlasov
 from mvlab.presets import arctan_params, gaussian_grid as gaussian, tanh_test
 
 X_MIN, DX, M = -8.0, 0.01, 1600
@@ -149,7 +150,7 @@ class TestPicard:
 
         def b(t, X, mu):
             calls.append(t)
-            return -density_at(mu, X[:, 0])[:, None]
+            return -mu.density_at(X[:, 0])[:, None]
 
         n = self.one_step(b).log.picard_iterations_max
         assert 1 <= n < MAX_PICARD
@@ -175,7 +176,7 @@ class TestPicard:
 
         def b(t, X, mu):
             calls.append(t)
-            return -density_at(mu, X[:, 0])[:, None]
+            return -mu.density_at(X[:, 0])[:, None]
 
         monkeypatch.setattr(fpe, "_solve", counted_solve)
         monkeypatch.setattr(fpe, "_clip_and_log", step_end)
@@ -241,6 +242,32 @@ class TestStepTimes:
         assert stepped == ends and calls == ends[::-1]
         assert flow.log.steps == frozen.log.steps == frozen.log.field_evals == len(steps)
         assert flow.log.field_evals == len(marched)
+
+    @pytest.mark.parametrize("entry", [
+        "solve_nonlinear_fpe", "solve_frozen_fpe", "solve_backward_kolmogorov",
+        "simulate_mckean_vlasov", "simulate_frozen", "fk_evaluate_mc", "fk_evaluate_grid",
+    ])
+    def test_every_march_rejects_a_reversed_interval(self, entry):
+        # both ends lie in the flow's span [0, 1], but t_end comes before s
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        cfg = SolverConfig(dt=1e-2)
+        mu = gaussian(0.25, 1.0, dx=0.05, n=320)
+        flow = solve_nonlinear_fpe(mu, cs, 0.0, 1.0, cfg)
+        s, t_end = 0.5, 0.2
+        x0, sim = np.zeros((10, 1)), SimConfig(dt=1e-2, seed=0)
+        problem = FKProblem(cs, t_end, terminal=lambda x, m: x[:, 0])
+        calls = {
+            "solve_nonlinear_fpe": lambda: solve_nonlinear_fpe(mu, cs, s, t_end, cfg),
+            "solve_frozen_fpe": lambda: solve_frozen_fpe(mu, flow, cs, cfg, s=s, t_end=t_end),
+            "solve_backward_kolmogorov": lambda: solve_backward_kolmogorov(
+                np.zeros(mu.n_cells), flow, cs, cfg, s, t_end),
+            "simulate_mckean_vlasov": lambda: simulate_mckean_vlasov(x0, cs, s, t_end, sim),
+            "simulate_frozen": lambda: simulate_frozen(x0, flow.state_at, cs, s, t_end, sim),
+            "fk_evaluate_mc": lambda: fk_evaluate_mc(problem, s, 0.0, mu, cfg, 10, 0, flow=flow),
+            "fk_evaluate_grid": lambda: fk_evaluate_grid(problem, s, mu, cfg, flow=flow),
+        }
+        with pytest.raises(ValueError, match="t_end must be >= s"):
+            calls[entry]()
 
 
 def _golden_meanfield_ou():
@@ -494,11 +521,11 @@ class TestRandomCoefficients:
         centers = x_min + dx * (np.arange(len(u0)) + 0.5)
 
         def b(t, X, mu):
-            u = density_at(mu, X[:, 0])
+            u = mu.density_at(X[:, 0])
             return (np.interp(X[:, 0], centers, drift) / (1 + u))[:, None]
 
         def sigma(t, X, mu):
-            u = density_at(mu, X[:, 0])
+            u = mu.density_at(X[:, 0])
             a = np.interp(X[:, 0], centers, diffusion) * (1 + u / (1 + u))
             return np.sqrt(a)[:, None, None]
 

@@ -12,14 +12,13 @@ from mvlab.lifted import (
     apply_measure_generator,
     chapman_kolmogorov_residual,
     delta_on_grid,
-    heat_semigroup_ck_residual,
     kernel_evaluate,
     kernel_law,
     measure_flow_derivative_residual,
 )
 from mvlab.measures import CylindricalFunction
 from mvlab.presets import cos_test, gaussian_grid, tanh_test
-from tests_helpers import identity_test, linear_F, square_test
+from tests_helpers import heat_semigroup_ck_residual, identity_test, linear_F, square_test
 
 
 class TestMeasureGenerator:

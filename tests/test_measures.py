@@ -16,7 +16,6 @@ from mvlab.measures import (
     GridDensity1D,
     InnerTest,
     MeasureViewError,
-    density_at,
     grid_to_measure,
     intrinsic_gradient,
     kde_density,
@@ -30,10 +29,6 @@ from mvlab.measures import (
     wasserstein2,
 )
 from tests_helpers import lp_w2sq, square_test
-
-
-def gaussian_grid(mean=0.0, var=1.0, x_min=-10.0, dx=0.01, n=2000):
-    return presets.gaussian_grid(var, mean, x_min, dx, n)
 
 
 class TestEmpiricalMeasure:
@@ -63,7 +58,7 @@ class TestEmpiricalMeasure:
     def test_density_view_required(self):
         mu = EmpiricalMeasure.from_atoms([0.0, 1.0])
         with pytest.raises(MeasureViewError):
-            density_at(mu, np.array([0.5]))
+            mu.density_at(np.array([0.5]))
 
 
 class TestGridDensity1D:
@@ -83,21 +78,21 @@ class TestGridDensity1D:
             GridDensity1D(0.0, np.nan, np.array([5.0, 5.0]))
 
     def test_centers_are_shared_and_read_only(self):
-        g = gaussian_grid(mean=0.3)
+        g = presets.gaussian_grid(1.0, 0.3, x_min=-10.0, dx=0.01, n=2000)
         expected = g.x_min + g.dx * (np.arange(g.n_cells) + 0.5)
         assert g.centers.tobytes() == expected.tobytes()
         # another density on the same grid reads the same array
-        assert gaussian_grid(mean=-0.3).centers is g.centers
+        assert presets.gaussian_grid(1.0, -0.3, x_min=-10.0, dx=0.01, n=2000).centers is g.centers
         with pytest.raises(ValueError, match="read-only"):
             g.centers[0] = 0.0
 
     def test_moments_match_gaussian(self):
-        g = gaussian_grid(mean=1.3, var=0.7)
+        g = presets.gaussian_grid(0.7, 1.3, x_min=-10.0, dx=0.01, n=2000)
         assert g.mean()[0] == pytest.approx(1.3, abs=1e-8)
         assert g.cov()[0, 0] == pytest.approx(0.7, abs=1e-4)
 
     def test_quantile_inverts_cdf(self):
-        g = gaussian_grid()
+        g = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.01, n=2000)
         p = np.linspace(0.01, 0.99, 23)
         x = g.quantile(p)
         # CDF at the returned points recovers p up to one cell of mass
@@ -105,14 +100,14 @@ class TestGridDensity1D:
         assert np.max(np.abs(cdf - p)) < g.dx
 
     def test_csv_roundtrip(self):
-        g = gaussian_grid(n=50, dx=0.4)
+        g = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.4, n=50)
         back = np.loadtxt(io.StringIO(g.to_csv()), delimiter=",", skiprows=1)
         assert np.array_equal(back[:, 0], g.centers)
         assert np.array_equal(back[:, 1], g.values)
 
     def test_density_at_outside_is_zero(self):
-        g = gaussian_grid()
-        assert density_at(g, np.array([-50.0, 50.0])).tolist() == [0.0, 0.0]
+        g = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.01, n=2000)
+        assert g.density_at(np.array([-50.0, 50.0])).tolist() == [0.0, 0.0]
 
 
 @st.composite
@@ -197,7 +192,7 @@ class TestWasserstein:
     def test_w2_to_quantile_gaussian(self):
         from scipy.stats import norm
 
-        g = gaussian_grid(mean=0.5, var=1.0)
+        g = presets.gaussian_grid(1.0, 0.5, x_min=-10.0, dx=0.01, n=2000)
         q = lambda p: norm.ppf(p, loc=-1.0, scale=2.0)
         ref = w2_gaussian_1d(0.5, 1.0, -1.0, 4.0)
         assert w2_to_quantile(g, q) == pytest.approx(ref, abs=5e-3)
@@ -240,7 +235,7 @@ class TestKDE:
         rng = np.random.default_rng(5)
         mu = EmpiricalMeasure.from_atoms(rng.normal(size=20000))
         g = kde_density(mu, -10.0, 0.01, 2000, bandwidth=silverman_bandwidth(mu))
-        ref = gaussian_grid()
+        ref = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.01, n=2000)
         assert np.abs(g.values - ref.values).sum() * 0.01 < 0.05
 
     def test_binned_close_to_exact(self):
@@ -264,13 +259,13 @@ class TestKDE:
 
 class TestSamplingAndConversion:
     def test_sample_density_moments(self):
-        g = gaussian_grid(mean=2.0, var=0.5)
+        g = presets.gaussian_grid(0.5, 2.0, x_min=-10.0, dx=0.01, n=2000)
         mu = sample_density(g, 50000, np.random.default_rng(7))
         assert mu.mean()[0] == pytest.approx(2.0, abs=0.02)
         assert mu.cov()[0, 0] == pytest.approx(0.5, abs=0.02)
 
     def test_grid_to_measure_preserves_moments(self):
-        g = gaussian_grid(mean=-1.0, var=2.0)
+        g = presets.gaussian_grid(2.0, -1.0, x_min=-10.0, dx=0.01, n=2000)
         mu = grid_to_measure(g)
         assert mu.mean()[0] == pytest.approx(g.mean()[0], abs=1e-12)
         assert mu.second_moment() == pytest.approx(g.second_moment(), rel=1e-12)

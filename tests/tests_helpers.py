@@ -1,4 +1,4 @@
-"""Test functions only the test suite uses; shared presets live in
+"""Test functions and oracles only the test suite uses; shared presets live in
 ``mvlab.presets``."""
 
 import numpy as np
@@ -6,6 +6,8 @@ from scipy.optimize import linprog
 
 from mvlab.measures import CylindricalFunction, InnerTest
 from mvlab.particles import _BLOCK
+
+HERMITE_NODES = 80  # Gauss-Hermite nodes of ``heat_semigroup_ck_residual``
 
 
 def linear_F(h):
@@ -58,3 +60,26 @@ def reference_normals(seed, stream_indices, k, d):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, k, blk, 0]))
         parts.append(gen.standard_normal((off[-1] + 1, d))[off])
     return np.concatenate(parts)
+
+
+def heat_semigroup_ck_residual(h, s, r, t, x):
+    """Chapman-Kolmogorov defect of the exact heat semigroup (unit diffusion),
+
+        | N(x, t-s)(h) - int N(y, t-r)(h) N(x, r-s)(dy) |,
+
+    by Gauss-Hermite quadrature with ``HERMITE_NODES`` nodes. For smooth h
+    this is pure quadrature error: an oracle for the quadrature alone, which
+    calls no mvlab code.
+    """
+    if not (s < r < t):
+        raise ValueError("need s < r < t")
+    nodes, weights = np.polynomial.hermite_e.hermegauss(HERMITE_NODES)
+    weights = weights / np.sqrt(2 * np.pi)
+
+    def semigroup(y, tau):
+        return float(np.dot(weights, h(y + np.sqrt(tau) * nodes)))
+
+    direct = semigroup(x, t - s)
+    inner = np.array([semigroup(x + np.sqrt(r - s) * z, t - r) for z in nodes])
+    composed = float(np.dot(weights, inner))
+    return abs(direct - composed)
