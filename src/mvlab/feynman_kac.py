@@ -68,7 +68,6 @@ class FKProblem:
 class FKEstimate:
     value: float
     stderr: float
-    n_samples: int
 
 
 def fk_evaluate_mc(
@@ -112,7 +111,6 @@ def fk_evaluate_mc(
     return FKEstimate(
         value=float(samples.mean()),
         stderr=float(samples.std(ddof=1) / np.sqrt(n_particles)),
-        n_samples=n_particles,
     )
 
 
@@ -161,7 +159,7 @@ def fk_evaluate(
         mu.check_inside_centers(x)
         w = fk_evaluate_grid(problem, t, mu, cfg, flow=flow)
         val = float(np.interp(x, mu.centers, w))
-        return FKEstimate(value=val, stderr=0.0, n_samples=mu.n_cells)
+        return FKEstimate(value=val, stderr=0.0)
     raise ValueError(f"unknown backend {backend!r}")
 
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 MASS_STEP_TOL = 1e-12
-CFL_SAFETY = 0.9  # explicit steps stay below this fraction of the CFL bound
+CFL_SAFETY = 0.9  # most of a cell's mass one explicit step may send out
 MAX_PICARD = 20  # Picard iterations per nonlinear semi-implicit step
 PICARD_TOL = 1e-10  # max-norm step residual that ends the Picard iteration
 SPAN_SLACK = 1e-9  # how far a read may miss a record or its span (relative)
@@ -139,7 +139,9 @@ def _unchecked_grid(x_min: float, dx: float, values: np.ndarray) -> GridDensity1
 
 
 def _interface_coeffs(a: np.ndarray, v: np.ndarray, dx: float):
-    """Flux G_{i+1/2} = p_i u_i + q_i u_{i+1} for interfaces i = 0..M-2."""
+    """Flux G_{i+1/2} = p_i u_i + q_i u_{i+1} for interfaces i = 0..M-2,
+    with p >= 0 >= q. Every step, its explicit guard and the backward sweep
+    read the fields through (p, q), so the flux is defined here alone."""
     vi = 0.5 * (v[:-1] + v[1:])
     half_a = a / (2 * dx)
     p = np.maximum(vi, 0.0) + half_a[:-1]
@@ -147,27 +149,24 @@ def _interface_coeffs(a: np.ndarray, v: np.ndarray, dx: float):
     return p, q
 
 
-def _explicit_step(u, a, v, dx, dt):
-    p, q = _interface_coeffs(a, v, dx)
+def _explicit_step(u, p, q, c):
+    """u minus c times the flux divergence of the interface coefficients
+    (p, q), with c = dt/dx."""
     G = p * u[:-1] + q * u[1:]
     out = u.copy()
-    out[:-1] -= dt / dx * G
-    out[1:] += dt / dx * G
+    out[:-1] -= c * G
+    out[1:] += c * G
     return out
 
 
-def _fv_band(a, v, dx, dt, transpose=False):
-    """A = I + dt/dx * (flux divergence), or its transpose, in LAPACK band
-    layout (row 0 the superdiagonal from column 1, row 1 the diagonal, row 2
-    the subdiagonal up to column M-2). The one assembly of the implicit FV
-    operator: the forward step solves A u_new = u_old, the backward
-    Kolmogorov step solves with A^T. Columns of A sum to 1 (mass
-    conservation) and A is an M-matrix (positivity)."""
-    return _flux_band(*_interface_coeffs(a, v, dx), dt / dx, transpose)
-
-
 def _flux_band(p, q, c, transpose=False):
-    # ``_fv_band`` from interface coefficients already at hand (c = dt/dx)
+    """A = I + c * (flux divergence) for the interface coefficients (p, q)
+    and c = dt/dx, or its transpose, in LAPACK band layout (row 0 the
+    superdiagonal from column 1, row 1 the diagonal, row 2 the subdiagonal
+    up to column M-2). The one assembly of the implicit FV operator: the
+    forward step solves A u_new = u_old, the backward Kolmogorov step solves
+    with A^T. Columns of A sum to 1 (mass conservation) and A is an M-matrix
+    (positivity)."""
     upper, lower = c * q, -c * p  # A[i, i+1] and A[i+1, i] across interface i
     if transpose:
         upper, lower = lower, upper
@@ -181,7 +180,7 @@ def _flux_band(p, q, c, transpose=False):
 
 
 def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system in ``_fv_band`` layout with LAPACK
+    """Solve the tridiagonal system in ``_flux_band`` layout with LAPACK
     ``gtsv``: the call, and so the bits, of SciPy's banded solver for a
     (1, 1) band, without its wrapper. Raises ``ValueError`` for a non-finite
     band or right-hand side and ``LinAlgError`` for a singular system.
@@ -196,18 +195,19 @@ def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_cfl(a, v, dx, dt):
-    amax = float(np.max(a))
-    vmax = float(np.max(np.abs(v)))
-    limit = np.inf
-    if amax > 0:
-        limit = min(limit, dx * dx / amax)
-    if vmax > 0:
-        limit = min(limit, dx / vmax)
-    if dt > CFL_SAFETY * limit:
+def _check_cfl(p, q, c):
+    """The explicit step's positivity bound, read off the interface
+    coefficients (p, q) with c = dt/dx: cell i sends c p_i across its right
+    interface and -c q_{i-1} across its left, and keeps the rest of its
+    mass. ``CFLError`` when some cell sends more than ``CFL_SAFETY`` of it."""
+    outflow = np.zeros(p.shape[0] + 1)
+    outflow[:-1] = c * p
+    outflow[1:] -= c * q
+    i = int(np.argmax(outflow))
+    if outflow[i] > CFL_SAFETY:
         raise CFLError(
-            f"explicit step dt={dt:g} violates the CFL bound {CFL_SAFETY * limit:g} "
-            f"(max diffusion {amax:g}, max drift {vmax:g}, dx={dx:g})"
+            f"explicit step sends {outflow[i]:.3g} of cell {i}'s mass out, above "
+            f"CFL_SAFETY = {CFL_SAFETY:g} (dt/dx = {c:g})"
         )
 
 
@@ -331,24 +331,26 @@ def _march(
         coeffs = coeffs.frozen
 
     def fields(t, u):
+        """The interface coefficients (p, q) of the fields at time t."""
         log.field_evals += 1
         mu = _unchecked_grid(u0.x_min, dx, u / dx) if flow is None else flow.state_at(t)
-        return _eval_fields(coeffs, t, centers2d, mu)
+        return _interface_coeffs(*_eval_fields(coeffs, t, centers2d, mu), dx)
 
     carried = None  # (p, q) at the next step's left end, from the last Picard iterate
     for k, (t, dt, t_next) in enumerate(steps):
+        c = dt / dx
         if cfg.scheme == "explicit":
-            a, v = fields(t, u)
-            _check_cfl(a, v, dx, dt)
-            u_new = _explicit_step(u, a, v, dx, dt)
+            p, q = fields(t, u)
+            _check_cfl(p, q, c)
+            u_new = _explicit_step(u, p, q, c)
         elif flow is not None:
-            u_new = _solve(_fv_band(*fields(t_next, u), dx, dt), u)
+            u_new = _solve(_flux_band(*fields(t_next, u), c), u)
         else:
-            p, q = carried or _interface_coeffs(*fields(t, u), dx)
+            p, q = carried or fields(t, u)
             for it in range(MAX_PICARD + 1):
-                u_new = _solve(_flux_band(p, q, dt / dx), u)
-                p, q = _interface_coeffs(*fields(t_next, u_new), dx)
-                resid = u_new - u + dt / dx * _flux_divergence(u_new, p, q)
+                u_new = _solve(_flux_band(p, q, c), u)
+                p, q = fields(t_next, u_new)
+                resid = u_new - u + c * _flux_divergence(u_new, p, q)
                 resid = float(np.max(np.abs(resid)))
                 if resid <= PICARD_TOL:
                     break
@@ -457,8 +459,8 @@ def solve_backward_kolmogorov(
     frozen = coeffs.frozen
     for _, dt, r in reversed(_time_steps(s, t_end, cfg.dt)):
         mu_r = flow.state_at(r)
-        a, v = _eval_fields(frozen, r, centers2d, mu_r)
-        ab = _fv_band(a, v, grid.dx, dt, transpose=True)
+        p, q = _interface_coeffs(*_eval_fields(frozen, r, centers2d, mu_r), grid.dx)
+        ab = _flux_band(p, q, dt / grid.dx, transpose=True)
         if potential is not None:
             ab[1] -= dt * np.asarray(potential(r, centers2d, mu_r), dtype=float)
         if source is not None:

@@ -211,14 +211,14 @@ class GridDensity1D:
         return float(np.abs(self.values - other.values).sum() * self.dx)
 
     def mean(self) -> np.ndarray:
-        return np.array([self.dx * np.dot(self.values, self.centers)])
+        return np.array([self.integrate(lambda X: X[:, 0])])
 
     def cov(self) -> np.ndarray:
         m = self.mean()[0]
-        return np.array([[self.dx * np.dot(self.values, (self.centers - m) ** 2)]])
+        return np.array([[self.integrate(lambda X: (X[:, 0] - m) ** 2)]])
 
     def second_moment(self) -> float:
-        return float(self.dx * np.dot(self.values, self.centers**2))
+        return self.integrate(lambda X: X[:, 0] ** 2)
 
     def cdf_right_edges(self) -> np.ndarray:
         return np.cumsum(self.values) * self.dx

@@ -241,19 +241,33 @@ def test_criterion_4_feynman_kac():
     e6 = abs(mc_full.value - full)
     tol6 = 3 * mc_full.stderr + 10 * cfg.dt
 
+    # the paper's headline family: NLDBM-arctan's frozen fields read the
+    # flow's density, through both backends along one grid flow
+    nldbm = nldbm_coefficients(arctan_params())
+    mu_n = gaussian_grid(0.25, 1.0)
+    flow_n = solve_nonlinear_fpe(mu_n, nldbm, 0.0, 0.5, cfg)
+    prob_n = FKProblem(nldbm, 0.5, terminal=lambda X, m: np.tanh(X[:, 0]))
+    grid_n = fk_evaluate(prob_n, 0.0, 0.5, mu_n, cfg, backend="grid", flow=flow_n).value
+    mc_n = fk_evaluate(prob_n, 0.0, 0.5, mu_n, cfg, backend="mc",
+                       n_particles=40_000, seed=7, flow=flow_n)
+    e7 = abs(mc_n.value - grid_n)
+    tol7 = 3 * mc_n.stderr + 10 * cfg.dt
+
     ok = (e1_grid < 1e-9 and e1_mc < 1e-12 and e2_grid < 10 * cfg.dt
           and e2_mc < 1e-10 and e3 < tol3 and e4 < 5e-3 and e5 < 1e-10
-          and e6 < tol6)
+          and e6 < tol6 and e7 < tol7)
     report(4, "Feynman-Kac", ok,
            f"unit {e1_grid:.1e}/{e1_mc:.1e}, potential {e2_grid:.1e}/{e2_mc:.1e}, "
            f"mean {e3:.1e}<{tol3:.1e}, measure {e4:.1e}, "
-           f"tower {e5:.1e}, mc/grid {e6:.1e}<{tol6:.1e}")
+           f"tower {e5:.1e}, mc/grid {e6:.1e}<{tol6:.1e}, "
+           f"nldbm mc/grid {e7:.1e}<{tol7:.1e}")
     assert e1_grid < 1e-9 and e1_mc < 1e-12
     assert e2_grid < 10 * cfg.dt and e2_mc < 1e-10
     assert e3 < tol3
     assert e4 < 5e-3
     assert e5 < 1e-10
     assert e6 < tol6
+    assert e7 < tol7
 
 
 # ---------------------------------------------------------------------------

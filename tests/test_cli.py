@@ -11,6 +11,7 @@ from mvlab.cli import ConfigError, main, validate_config
 from mvlab.fpe import MAX_PICARD
 
 OU = {"family": "meanfield-ou", "lambda0": 1.0, "kappa0": 0.5, "sigma0": 1.0}
+NLDBM = {"family": "nldbm-arctan", "C": 1.0, "alpha": 0.5}
 SMALL = {"dt": 2e-3, "dx": 0.02, "x_min": -8.0, "n_cells": 800, "horizon": 0.2,
          "n_particles": 500, "record_every": 50, "quad_points": 16, "n_boot": 10}
 
@@ -29,13 +30,17 @@ def write_config(tmp_path, name, **overrides):
     return str(p), cfg
 
 
-@pytest.mark.parametrize("experiment", [
-    "simulate-mkv", "solve-fpe", "frozen-compare", "check-ck",
-    "feynman-kac", "gradient-check", "validate-hypotheses",
-])
-def test_each_experiment_runs(tmp_path, experiment):
+# every experiment but ergodicity, which takes mean-field OU only
+RUNS = ["simulate-mkv", "solve-fpe", "frozen-compare", "check-ck",
+        "feynman-kac", "gradient-check", "validate-hypotheses"]
+
+
+@pytest.mark.parametrize("experiment, family", [(e, OU) for e in RUNS] + [(e, NLDBM) for e in RUNS],
+                         ids=RUNS + [f"{e}-nldbm-arctan" for e in RUNS])
+def test_each_experiment_runs(tmp_path, experiment, family):
     out = str(tmp_path / experiment)
-    path, _ = write_config(tmp_path, f"{experiment}.json", experiment=experiment)
+    path, _ = write_config(tmp_path, f"{experiment}.json", experiment=experiment,
+                           coefficients=family)
     assert main(["run", path, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "manifest.json"))
     results = json.loads(Path(out, "results.json").read_text())

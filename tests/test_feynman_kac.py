@@ -95,6 +95,26 @@ class TestOracles:
         val = fk_evaluate(prob, 0.0, 0.0, mu, CFG, backend="grid").value
         assert val == pytest.approx(0.4 * 1.0, rel=2e-3)
 
+    @pytest.mark.parametrize("backend", ["grid", "mc"])
+    def test_constant_source_alone_is_its_time_integral(self, mu, backend):
+        # terminal 0 and source f: u = f (T - t) along any flow
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        prob = FKProblem(cs, 0.35, terminal=lambda X, m: np.zeros(X.shape[0]),
+                         source=lambda t, X, m: np.full(X.shape[0], 0.7))
+        est = fk_evaluate(prob, 0.1, 0.5, mu, SolverConfig(dt=1e-2), backend=backend,
+                          n_particles=1000, seed=0)
+        assert abs(est.value - 0.7 * (0.35 - 0.1)) <= 1e-12
+
+    def test_mc_agrees_with_grid_under_potential_and_source(self, mu):
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        cfg = SolverConfig(dt=1e-2)
+        prob = FKProblem(cs, 0.35, terminal=lambda X, m: np.tanh(X[:, 0]),
+                         potential=lambda t, X, m: np.full(X.shape[0], -0.4),
+                         source=lambda t, X, m: np.full(X.shape[0], 0.7))
+        grid = fk_evaluate(prob, 0.1, 0.5, mu, cfg, backend="grid")
+        mc = fk_evaluate(prob, 0.1, 0.5, mu, cfg, backend="mc", n_particles=20000, seed=3)
+        assert abs(mc.value - grid.value) < 3 * mc.stderr
+
 
 class TestPDEResidual:
     @staticmethod

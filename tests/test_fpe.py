@@ -21,7 +21,10 @@ from mvlab.fpe import (
     DensityPath,
     NonlinearSolveError,
     SolverConfig,
-    _fv_band,
+    _check_cfl,
+    _explicit_step,
+    _flux_band,
+    _interface_coeffs,
     _record_index,
     _solve,
     _time_steps,
@@ -46,7 +49,7 @@ class TestHeatOracle:
             gaussian(0.1), heat_coefficients(1, 1.0), 0.0, 1.0,
             SolverConfig(dt=1e-3), record_every=1000,
         )
-        err = np.abs(path.states[-1].values - gaussian(1.1).values).sum() * DX
+        err = path.states[-1].l1_distance(gaussian(1.1))
         assert err < 2 * DX + 10 * 1e-3
 
     def test_explicit(self):
@@ -54,7 +57,7 @@ class TestHeatOracle:
             gaussian(0.1), heat_coefficients(1, 1.0), 0.0, 0.2,
             SolverConfig(dt=4e-5, scheme="explicit"), record_every=5000,
         )
-        err = np.abs(path.states[-1].values - gaussian(0.3).values).sum() * DX
+        err = path.states[-1].l1_distance(gaussian(0.3))
         assert err < 1e-4
 
     def test_explicit_cfl_guard(self):
@@ -63,6 +66,24 @@ class TestHeatOracle:
                 gaussian(0.1), heat_coefficients(1, 1.0), 0.0, 0.1,
                 SolverConfig(dt=1e-3, scheme="explicit"),
             )
+
+    def test_explicit_guard_bounds_each_cells_outflow(self):
+        # unit diffusion plus drift 100 at dx = 0.01: dt = 8e-5 is 0.8 of both
+        # dx^2 / a and dx / |v|, yet a cell would send 1.6 of its mass out
+        calls = []
+
+        def b(t, X, mu):
+            calls.append(t)
+            return np.full_like(X, 100.0)
+
+        cs = CoefficientSet(b=b, sigma=heat_coefficients(1, 1.0).sigma)
+        u0 = gaussian(0.1, -3.0)
+        with pytest.raises(CFLError, match="sends 1.6 of"):
+            solve_nonlinear_fpe(u0, cs, 0.0, 0.004, SolverConfig(dt=8e-5, scheme="explicit"))
+        assert calls == [0.0]
+        path = solve_nonlinear_fpe(u0, cs, 0.0, 0.004, SolverConfig(dt=4e-5, scheme="explicit"))
+        assert path.log.clipped_mass == 0.0
+        assert path.states[-1].mean()[0] == pytest.approx(-3.0 + 100 * 0.004, abs=1e-6)
 
     def test_explicit_nan_drift_raises_at_its_step(self):
         nan_at = []
@@ -99,7 +120,7 @@ class TestMeanFieldOU:
         inv = gaussian(sig0**2 / (2 * lam0))
         path = solve_nonlinear_fpe(inv, cs, 0.0, 5.0, SolverConfig(dt=1e-3),
                                    record_every=5000)
-        drift = np.abs(path.states[-1].values - inv.values).sum() * DX
+        drift = path.states[-1].l1_distance(inv)
         assert drift < 1e-2
 
     def test_frozen_step_evaluates_fields_once_at_its_right_end(self):
@@ -121,7 +142,7 @@ class TestMeanFieldOU:
         u0 = gaussian(0.25, 2.0)
         flow = solve_nonlinear_fpe(u0, cs, 0.0, 1.0, SolverConfig(dt=1e-3))
         frozen = solve_frozen_fpe(u0, flow, cs, SolverConfig(dt=1e-3), record_every=1000)
-        err = np.abs(frozen.states[-1].values - flow.states[-1].values).sum() * DX
+        err = frozen.states[-1].l1_distance(flow.states[-1])
         assert err < 1e-6
 
 
@@ -452,14 +473,26 @@ class TestFVOperator:
     @given(fv_system())
     def test_transposed_solve_is_adjoint(self, system):
         a, v, dx, dt, u, g = system
-        ab = _fv_band(a, v, dx, dt)
+        ab = _flux_band(*_interface_coeffs(a, v, dx), dt / dx)
         forward = float(g @ solve_banded((1, 1), ab, u))
-        abt = _fv_band(a, v, dx, dt, transpose=True)
+        abt = _flux_band(*_interface_coeffs(a, v, dx), dt / dx, transpose=True)
         backward = float(solve_banded((1, 1), abt, g) @ u)
         assert abs(forward - backward) <= 1e-12
         A = _dense(ab)
         assert np.array_equal(_dense(abt), A.T)
         assert np.abs(A.sum(axis=0) - 1.0).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(fv_system(), st.floats(-4.0, 0.0))
+    def test_explicit_step_within_the_guard_keeps_u_nonnegative(self, system, log_c):
+        a, v, dx, _, u, _ = system
+        p, q = _interface_coeffs(a, v, dx)
+        c = 10.0**log_c  # dt / dx
+        try:
+            _check_cfl(p, q, c)
+        except CFLError:
+            return
+        assert _explicit_step(u, p, q, c).min() >= 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 64), st.data())
@@ -469,7 +502,7 @@ class TestFVOperator:
 
         a, v, rhs = vec(1e-3, 2.0), vec(-2.0, 2.0), vec(-1.0, 1.0)
         dx, dt = data.draw(st.floats(0.005, 0.5)), data.draw(st.floats(1e-5, 1e-1))
-        ab = _fv_band(a, v, dx, dt, transpose=data.draw(st.booleans()))
+        ab = _flux_band(*_interface_coeffs(a, v, dx), dt / dx, transpose=data.draw(st.booleans()))
         expected = solve_banded((1, 1), ab, rhs)
         band, right = ab.copy(), rhs.copy()
         assert _solve(ab, rhs).tobytes() == expected.tobytes()
@@ -478,7 +511,7 @@ class TestFVOperator:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("where", [(0, 1), (1, 0), (2, 0), None])
     def test_solve_rejects_non_finite_input(self, bad, where):
-        ab, rhs = _fv_band(np.ones(5), np.zeros(5), 0.1, 1e-3), np.ones(5)
+        ab, rhs = _flux_band(*_interface_coeffs(np.ones(5), np.zeros(5), 0.1), 1e-3 / 0.1), np.ones(5)
         if where is None:
             rhs[2] = bad
         else:

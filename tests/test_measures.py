@@ -162,6 +162,16 @@ class TestCloudReductions:
         assert_fsum_close(mu.integrate(h), w * h(X))
 
 
+@st.composite
+def dyadic_cloud(draw):
+    """Atoms with positive integer counts that sum to a power of two."""
+    n = 2 ** draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(n, 20)))
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    counts = np.diff([0, *sorted(cuts), n]).tolist()
+    return draw(st.lists(st.floats(-10, 10), min_size=k, max_size=k)), counts
+
+
 class TestWasserstein:
     @settings(max_examples=60, deadline=None)
     @given(small_cloud(), small_cloud())
@@ -196,6 +206,19 @@ class TestWasserstein:
         q = lambda p: norm.ppf(p, loc=-1.0, scale=2.0)
         ref = w2_gaussian_1d(0.5, 1.0, -1.0, 4.0)
         assert w2_to_quantile(g, q) == pytest.approx(ref, abs=5e-3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dyadic_cloud())
+    @example(([0.0, 1.0], [1, 63]))  # the level p_j = 1/64 is the first atom's weight
+    def test_w2_to_quantile_reads_dyadic_weights_as_repeated_atoms(self, cloud):
+        # weights counts / 2^m sum exactly, so the weighted cloud's float
+        # cumulative weights meet each level where the repeated cloud's exact
+        # ranks do
+        xs, counts = np.array(cloud[0]), np.array(cloud[1])
+        weighted = EmpiricalMeasure.from_atoms(xs, counts / counts.sum())
+        repeated = EmpiricalMeasure.from_atoms(np.repeat(xs, counts))
+        q = lambda p: np.log(p / (1 - p))
+        assert w2_to_quantile(weighted, q) == w2_to_quantile(repeated, q)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -236,7 +259,7 @@ class TestKDE:
         mu = EmpiricalMeasure.from_atoms(rng.normal(size=20000))
         g = kde_density(mu, -10.0, 0.01, 2000, bandwidth=silverman_bandwidth(mu))
         ref = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.01, n=2000)
-        assert np.abs(g.values - ref.values).sum() * 0.01 < 0.05
+        assert g.l1_distance(ref) < 0.05
 
     def test_binned_close_to_exact(self):
         rng = np.random.default_rng(6)
@@ -244,7 +267,7 @@ class TestKDE:
         bw = silverman_bandwidth(mu)
         a = kde_density(mu, -10.0, 0.01, 2000, bw, method="exact")
         b = kde_density(mu, -10.0, 0.01, 2000, bw, method="binned")
-        assert np.abs(a.values - b.values).sum() * 0.01 < 1e-3
+        assert a.l1_distance(b) < 1e-3
 
     def test_mass_is_one(self):
         mu = EmpiricalMeasure.from_atoms([0.0, 0.5, 1.0])
