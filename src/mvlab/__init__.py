@@ -61,6 +61,13 @@ from .measures import (
     w2_to_quantile,
     wasserstein2,
 )
-from .particles import KDESpec, PathEnsemble, SimConfig, simulate_frozen, simulate_mckean_vlasov
+from .particles import (
+    KDESpec,
+    PathEnsemble,
+    SimConfig,
+    simulate_frozen,
+    simulate_lifted,
+    simulate_mckean_vlasov,
+)
 
 __version__ = "0.1.0"

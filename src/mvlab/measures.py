@@ -87,7 +87,8 @@ class EmpiricalMeasure:
     density: "GridDensity1D | None" = field(default=None, compare=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # C order: einsum sums strided atoms in another order, to other bits
+        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(self.points, dtype=float)))
         if pts.ndim != 2:
             raise ValueError("points must be an (N, d) array")
         w = np.asarray(self.weights, dtype=float).ravel()

@@ -2,7 +2,8 @@
 
 The mean-field interaction is closed over the empirical law of the particle
 system; density-dependent (Nemytskii) coefficients additionally see a binned
-kernel-density view on a fixed grid.
+kernel-density view on a fixed grid. The lifted process pairs each particle
+with a point of the frozen dynamics on the same stream (``simulate_lifted``).
 
 Reproducibility contract: normals are a function of (seed, stream index,
 step), drawn from a counter-based generator (Philox) with no state carried
@@ -37,6 +38,7 @@ __all__ = [
     "PathEnsemble",
     "simulate_mckean_vlasov",
     "simulate_frozen",
+    "simulate_lifted",
 ]
 
 
@@ -167,9 +169,11 @@ def _simulate(
     stream_indices: np.ndarray | None,
 ) -> PathEnsemble:
     """The one Euler-Maruyama loop. ``drift_diffusion(t, h, X)`` is called
-    once per step (t, h) with the cloud at t and returns (b, sigma) there;
-    the cloud then moves by b h + sigma Z sqrt(h), Z from ``_normals``,
-    whose block plan and generator are made once for the whole simulation.
+    once per step (t, h) with the cloud at t and returns (b, sigma) there,
+    shapes (N, d) and (N, d, m); the cloud then moves by
+    b h + sigma Z sqrt(h), Z the (N, m) normals of ``_normals``, whose block
+    plan and generator are made once for the whole simulation, at the first
+    step, which tells m. Records fill one preallocated array.
     Stream indices must be distinct integers in [0, 2**63)."""
     X = np.atleast_2d(np.asarray(x0, dtype=float))
     if X.ndim != 2:
@@ -188,22 +192,22 @@ def _simulate(
     order = np.argsort(stream_indices)
     X, stream_indices = X[order], stream_indices[order]
 
-    draw = _normals(cfg.seed, stream_indices, d)
     steps = _time_steps(s, t_end, cfg.dt)
-    times = [s]
-    records = [X]
+    n_records = 1 + -(-len(steps) // cfg.record_every)  # start, every k-th step, last
+    times = np.empty(n_records)
+    positions = np.empty((n_records, N, d))
+    times[0], positions[0] = s, X
+    r = 1
+    draw = None
     for k, (t, h, t_next) in enumerate(steps):
         b, sig = drift_diffusion(t, h, X)
+        if draw is None:
+            draw = _normals(cfg.seed, stream_indices, sig.shape[-1])
         X = X + b * h + np.einsum("nij,nj->ni", sig, draw(k)) * np.sqrt(h)
         if (k + 1) % cfg.record_every == 0 or k + 1 == len(steps):
-            times.append(t_next)
-            records.append(X)
-    return PathEnsemble(
-        times=np.asarray(times),
-        positions=np.stack(records),
-        stream_indices=stream_indices,
-        kde=cfg.kde,
-    )
+            times[r], positions[r] = t_next, X
+            r += 1
+    return PathEnsemble(times=times, positions=positions, stream_indices=stream_indices, kde=cfg.kde)
 
 
 def simulate_mckean_vlasov(
@@ -247,3 +251,47 @@ def simulate_frozen(
         return frozen.fields(t, X, flow(t))
 
     return _simulate(x0, s, t_end, cfg, drift_diffusion, stream_indices)
+
+
+def simulate_lifted(
+    x0_mu: np.ndarray,
+    x0_nu: np.ndarray,
+    coeffs: CoefficientSet,
+    s: float,
+    t_end: float,
+    cfg: SimConfig,
+    stream_indices: np.ndarray | None = None,
+) -> tuple[PathEnsemble, PathEnsemble]:
+    """The lifted process on R^d x P as one cloud of N pairs (y, x): y
+    follows the nonlinear fields under the empirical law mu_t of the y
+    cloud, x follows ``coeffs.frozen`` under that same mu_t of the current
+    step, and both halves of pair i ride stream i (synchronous coupling).
+
+    Returns the y and x clouds as two ensembles that share ``times`` and
+    ``stream_indices``. The y cloud is bit for bit ``simulate_mckean_vlasov``
+    from x0_mu, and the x cloud ``simulate_frozen`` from x0_nu along that
+    run recorded at every step, both on the same streams. Clouds of
+    different shapes raise ``ValueError``.
+    """
+    Y0 = np.atleast_2d(np.asarray(x0_mu, dtype=float))
+    X0 = np.atleast_2d(np.asarray(x0_nu, dtype=float))
+    if Y0.shape != X0.shape:
+        raise ValueError(f"the two clouds must have one shape (N, d), got {Y0.shape} and {X0.shape}")
+    N, d = Y0.shape
+    frozen = coeffs.frozen
+    b = np.empty((N, 2 * d))
+    sig = np.empty((N, 2 * d, d))
+
+    def drift_diffusion(t, h, Z):
+        # each half in C order, as a standalone simulator hands its cloud to the fields
+        Y, X = np.ascontiguousarray(Z[:, :d]), np.ascontiguousarray(Z[:, d:])
+        mu = _law(Y, cfg.kde)
+        b[:, :d], sig[:, :d] = coeffs.fields(t, Y, mu)
+        b[:, d:], sig[:, d:] = frozen.fields(t, X, mu)
+        return b, sig
+
+    pair = _simulate(np.hstack([Y0, X0]), s, t_end, cfg, drift_diffusion, stream_indices)
+    return tuple(
+        PathEnsemble(pair.times, pair.positions[..., half], pair.stream_indices, cfg.kde)
+        for half in (slice(None, d), slice(d, None))
+    )

@@ -1,11 +1,17 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients, nldbm_coefficients
+from mvlab.coefficients import (
+    CoefficientSet,
+    heat_coefficients,
+    meanfield_ou_coefficients,
+    nldbm_coefficients,
+)
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import MeasureViewError
 from mvlab.particles import (
@@ -14,6 +20,7 @@ from mvlab.particles import (
     SimConfig,
     _normals,
     simulate_frozen,
+    simulate_lifted,
     simulate_mckean_vlasov,
 )
 from mvlab.presets import arctan_params, gaussian_grid
@@ -195,6 +202,84 @@ class TestFrozen:
         assert ens.positions.shape[1] == 200
 
 
+def _closure(name, seed):
+    """Coefficients and config of one closure: mean-field OU in d = 1 or 2,
+    or NLDBM-arctan on its KDE view."""
+    if name == "kde":
+        return nldbm_coefficients(arctan_params()), SimConfig(
+            dt=1e-3, seed=seed, record_every=5, kde=KDESpec(-8.0, 0.02, 800))
+    d = {"ou": 1, "ou2": 2}[name]
+    return meanfield_ou_coefficients(1.0, 0.5, 1.0, d=d)[0], SimConfig(dt=1e-3, seed=seed, record_every=5)
+
+
+class TestLifted:
+    CLOSURES = ["ou", "ou2", "kde"]
+
+    def clouds(self, name, n=300):
+        cs, cfg = _closure(name, seed=11)
+        rng = np.random.default_rng(12)
+        return cs, cfg, rng.normal(0.5, 0.5, (n, cs.d)), rng.normal(-0.5, 0.8, (n, cs.d))
+
+    @pytest.mark.parametrize("name", CLOSURES)
+    def test_y_half_is_the_standalone_nonlinear_cloud(self, name):
+        cs, cfg, y0, x0 = self.clouds(name)
+        ens_y, ens_x = simulate_lifted(y0, x0, cs, 0.0, 0.05, cfg)
+        ref = simulate_mckean_vlasov(y0, cs, 0.0, 0.05, cfg)
+        assert np.array_equal(ens_y.times, ref.times)
+        assert np.array_equal(ens_y.stream_indices, ref.stream_indices)
+        assert np.array_equal(ens_y.positions, ref.positions)
+        assert ens_x.times is ens_y.times and ens_x.stream_indices is ens_y.stream_indices
+        # the laws the halves give are those of a standalone cloud, bit for bit
+        assert np.array_equal(ens_y.marginal(-1).mean(), ref.marginal(-1).mean())
+
+    @pytest.mark.parametrize("name", CLOSURES)
+    def test_x_half_reads_the_law_of_its_own_step(self, name):
+        # the frozen cloud along the nonlinear run recorded at every step, on
+        # the same streams: no record older or newer than the step is read
+        cs, cfg, y0, x0 = self.clouds(name)
+        _, ens_x = simulate_lifted(y0, x0, cs, 0.0, 0.05, cfg)
+        ens = simulate_mckean_vlasov(y0, cs, 0.0, 0.05, replace(cfg, record_every=1))
+        ref = simulate_frozen(x0, ens.marginal_at, cs, 0.0, 0.05, cfg,
+                              stream_indices=np.arange(len(x0)))
+        assert np.array_equal(ens_x.times, ref.times)
+        assert np.array_equal(ens_x.positions, ref.positions)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_pairs_with_their_streams_gives_the_same_rows(self, ou, data):
+        n = data.draw(st.integers(2, 12))
+        idx = np.array(data.draw(st.lists(st.integers(0, 3 * _BLOCK), min_size=n, max_size=n,
+                                          unique=True)))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        y0, x0 = rng.normal(0.0, 0.5, (n, 1)), rng.normal(1.0, 0.5, (n, 1))
+        cfg = SimConfig(dt=1e-3, seed=seed, record_every=5)
+        a = simulate_lifted(y0, x0, ou, 0.0, 0.02, cfg, stream_indices=idx)
+        b = simulate_lifted(y0[perm], x0[perm], ou, 0.0, 0.02, cfg, stream_indices=idx[perm])
+        for ea, eb in zip(a, b):
+            assert np.array_equal(ea.stream_indices, np.sort(idx))
+            assert np.array_equal(eb.stream_indices, ea.stream_indices)
+            assert np.array_equal(eb.positions, ea.positions)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_halves_ride_one_noise_column(self, scale):
+        # zero drift, pair sigma of shape (N, 2, 1) with the frozen half scaled:
+        # x - scale y stays 0, so x - y stays constant at scale 1
+        zero = lambda t, X, mu: np.zeros_like(X)
+        cs = CoefficientSet(zero, lambda t, X, mu: np.full((len(X), 1, 1), 0.7),
+                            sigma_bar=lambda t, X, mu: np.full((len(X), 1, 1), 0.7 * scale))
+        y0 = initial_cloud(50, mean=0.0)
+        ens_y, ens_x = simulate_lifted(y0, scale * y0, cs, 0.0, 0.03, SimConfig(dt=1e-3, seed=3))
+        assert np.array_equal(ens_x.positions, scale * ens_y.positions)
+        assert not np.array_equal(ens_y.positions[-1], y0)
+
+    def test_clouds_of_different_sizes_rejected(self, ou):
+        with pytest.raises(ValueError, match="one shape"):
+            simulate_lifted(initial_cloud(5), initial_cloud(6), ou, 0.0, 0.01,
+                            SimConfig(dt=1e-3, seed=0))
+
+
 class TestValidation:
     def test_horizon_off_the_step_grid_takes_short_last_step(self):
         cs = heat_coefficients(1, 1.0)
@@ -207,6 +292,12 @@ class TestValidation:
         half = short.positions[-1] - short.positions[-2]
         whole = full.positions[-1] - full.positions[-2]
         assert np.abs(half - np.sqrt(0.5) * whole).max() <= 1e-15
+
+    def test_records_every_kth_step_and_the_last(self):
+        ens = simulate_mckean_vlasov(np.zeros((3, 1)), heat_coefficients(1, 1.0), 0.0, 0.01,
+                                     SimConfig(dt=1e-3, seed=0, record_every=3))
+        assert np.allclose(ens.times, [0.0, 0.003, 0.006, 0.009, 0.01], rtol=0, atol=1e-15)
+        assert ens.positions.shape == (5, 3, 1)
 
     def test_flow_must_cover_horizon(self, ou):
         flow = solve_nonlinear_fpe(gaussian_grid(0.25), ou, 0.0, 0.2, SolverConfig(dt=1e-2))
