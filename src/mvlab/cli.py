@@ -308,7 +308,10 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         report = decay_study(
             coeffs, extra, x0mu, x0nu,
             SimConfig(dt=num["dt"], seed=seed, record_every=rec),
-            cps, qfun, qfun, n_boot=num["n_boot"], boot_seed=seed,
+            cps, qfun, qfun, n_boot=num["n_boot"],
+            # default_rng(seed) drew the clouds; a child of seed's sequence
+            # resamples them on other words (seed + 1 is the next seed's clouds)
+            boot_seed=np.random.SeedSequence(seed).spawn(1)[0],
         )
         results.update(report.to_dict())
         results["envelope_holds"] = report.envelope_holds()

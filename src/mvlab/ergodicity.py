@@ -156,7 +156,7 @@ def decay_study(
     quantile_mu_inf,
     quantile_nu_inf,
     n_boot: int = 50,
-    boot_seed: int = 0,
+    boot_seed: int | np.random.SeedSequence = 0,
 ) -> ErgodicityReport:
     """Particle decay study in one dimension.
 
@@ -165,7 +165,9 @@ def decay_study(
     rides stream i of the seed in both halves, and every frozen step reads
     the nonlinear cloud's law at that same step. Distances to the invariant
     measures are exact quantile-coupling W2 against the supplied analytic
-    quantile functions, with bootstrap standard errors. The clouds must have
+    quantile functions, with bootstrap standard errors drawn from
+    ``default_rng(boot_seed)``; a generator that drew the initial clouds
+    would resample them with their own words. The clouds must have
     one shape (N, 1), and each checkpoint must be a recorded time, else
     ``ValueError``.
     """

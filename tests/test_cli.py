@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mvlab import cli
 from mvlab.cli import ConfigError, main, validate_config
+from mvlab.ergodicity import decay_study
 from mvlab.fpe import MAX_PICARD
 
 OU = {"family": "meanfield-ou", "lambda0": 1.0, "kappa0": 0.5, "sigma0": 1.0}
@@ -67,6 +69,25 @@ def test_ergodicity_experiment(tmp_path):
     assert main(["run", path, "--out", out]) == 0
     results = json.loads(Path(out, "results.json").read_text())
     assert results["envelope_holds"] is True
+
+
+def test_ergodicity_bootstrap_does_not_replay_the_cloud_stream(tmp_path, monkeypatch):
+    # default_rng(seed) draws the initial clouds; a bootstrap seeded the same
+    # way would resample them with the very words that drew them
+    seen = []
+
+    def spy(*args, boot_seed, **kwargs):
+        seen.append(boot_seed)
+        return decay_study(*args, boot_seed=boot_seed, **kwargs)
+
+    monkeypatch.setattr(cli, "decay_study", spy)
+    num = dict(SMALL)
+    num.update({"horizon": 0.4, "checkpoints": 3})
+    path, cfg = write_config(tmp_path, "erg.json", experiment="ergodicity", numerics=num)
+    main(["run", path, "--out", str(tmp_path / "erg")])
+    [boot_seed] = seen
+    words = lambda s: np.random.default_rng(s).bit_generator.random_raw(4)
+    assert not np.array_equal(words(boot_seed), words(cfg["seed"]))
 
 
 def test_validate_subcommand(tmp_path, capsys):

@@ -85,7 +85,7 @@ class TestOracles:
         est = fk_evaluate(prob, 0.1, 0.3, mu, cfg, backend="mc", n_particles=500, seed=9,
                           flow=flow)
         ens = simulate_frozen(np.full((500, 1), 0.3), flow.state_at, cs, 0.1, 0.5,
-                              SimConfig(dt=1e-2, seed=9), stream_indices=np.arange(500))
+                              SimConfig(dt=1e-2, seed=9))
         assert est.value == terminal(ens.positions[-1], flow.state_at(0.5)).mean()
 
     def test_constant_source_accumulates(self, mu):

@@ -494,6 +494,25 @@ class TestFVOperator:
             return
         assert _explicit_step(u, p, q, c).min() >= 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda m: st.tuples(*(
+               st.lists(e, min_size=m, max_size=m) for e in (
+                   st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+                   st.floats(-2.0, 2.0),
+                   st.one_of(st.just(0.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e)))))),
+           st.floats(0.005, 0.5), st.floats(1e-5, 1e-1))
+    # Peclet numbers 2 v dx / a of +2000 and -2000
+    @example(([1e-3] * 4, [2.0, 2.0, -2.0, -2.0], [0.0, 1e-300, 1.0, 0.0]), 0.5, 1e-1)
+    def test_forward_solve_keeps_u_nonnegative(self, avu, dx, dt):
+        """The forward band is column diagonally dominant, so ``dgtsv`` does
+        not pivot and the solve adds only nonnegative terms: u >= 0 gives a
+        new u >= 0 exactly, with nothing to clip. The transposed solve has
+        no such bound (roundoff leaves about -1e-16 where 0 is exact), which
+        is harmless: it acts on value functions, and those are signed."""
+        a, v, u = map(np.array, avu)
+        ab = _flux_band(*_interface_coeffs(a, v, dx), dt / dx)
+        assert _solve(ab, u).min() >= 0.0
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 64), st.data())
     def test_solve_is_solve_banded(self, m, data):
@@ -569,3 +588,4 @@ class TestRandomCoefficients:
         frozen = solve_frozen_fpe(GridDensity1D(x_min, dx, nu0 / (nu0.sum() * dx)), flow, cs, cfg)
         assert flow.log.max_mass_drift <= 1e-12
         assert frozen.log.max_mass_drift <= 1e-12
+        assert flow.log.clipped_mass == 0.0 and frozen.log.clipped_mass == 0.0
