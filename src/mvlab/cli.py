@@ -95,7 +95,7 @@ BOUNDS = {
     "dt": (">", 0), "dx": (">", 0), "horizon": (">", 0), "var": (">", 0),
     "n_cells": (">=", 1), "n_particles": (">=", 2), "record_every": (">=", 1),
     "replicas": (">=", 1), "checkpoints": (">=", 1), "quad_points": (">=", 1),
-    "n_boot": (">=", 2),
+    "n_boot": (">=", 2), "seed": (">=", 0),
 }
 # the accepted values of a string
 CHOICES = {

@@ -167,8 +167,10 @@ def decay_study(
     measures are exact quantile-coupling W2 against the supplied analytic
     quantile functions, with bootstrap standard errors drawn from
     ``default_rng(boot_seed)``; a generator that drew the initial clouds
-    would resample them with their own words. The clouds must have
-    one shape (N, 1), and each checkpoint must be a recorded time, else
+    would resample them with their own words. The clouds must have one
+    shape, (N, 1) or (N,), which ``measures._cloud`` reads as N particles
+    on the line; clouds of other shapes or of a width other than
+    ``coeffs.d``, and a checkpoint that is not a recorded time, raise
     ``ValueError``.
     """
     checkpoints = np.asarray(checkpoints, dtype=float)

@@ -103,7 +103,7 @@ def fk_evaluate_mc(
         return frozen.fields(r, X, mu_r)
 
     # record_every beyond the step count keeps only the start and the end
-    ens = _simulate(np.tile(x, (n_particles, 1)), t, problem.horizon,
+    ens = _simulate(np.tile(x, (n_particles, 1)), problem.coeffs.d, t, problem.horizon,
                     SimConfig(cfg.dt, seed, record_every=10**9), drift_diffusion)
     samples = accum + weight * np.asarray(
         problem.terminal(ens.positions[-1], flow.state_at(problem.horizon)), dtype=float

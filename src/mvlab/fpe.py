@@ -238,17 +238,19 @@ def _clip_and_log(u, log: ConservationLog) -> np.ndarray:
 
 def _time_steps(s: float, t_end: float, dt: float) -> list[tuple[float, float, float]]:
     """The steps ``(t_k, h_k, t_{k+1})`` that cover [s, t_end], t_k = s + k dt.
-    Every step is exactly dt except a last step that is genuinely short
-    (dt does not divide t_end - s up to a relative 1e-9), which has
-    h = t_end - t_k; the last step ends at t_end exactly. This is the one
-    rule from (s, t_end, dt) to steps: the FPE march, the backward sweep,
-    the particle simulator and the Feynman-Kac Monte Carlo backend all step
-    by it, so their steps coincide, and all raise ``ValueError`` for a
-    reversed interval t_end < s."""
+    Every step is exactly dt except a last step that is genuinely short,
+    which has h = t_end - t_k; the last step ends at t_end exactly. A last
+    step is full when t_{n-1} + dt, the end that a read computes, lies
+    within half of ``SPAN_SLACK`` of t_end, so the read hits the record at
+    t_end. This is the one rule from (s, t_end, dt) to steps: the FPE
+    march, the backward sweep, the particle simulator and the Feynman-Kac
+    Monte Carlo backend all step by it, so their steps coincide, and all
+    raise ``ValueError`` for a reversed interval t_end < s."""
     if t_end < s:
         raise ValueError(f"t_end must be >= s, got s={s}, t_end={t_end}")
     n = int(round((t_end - s) / dt))
-    full = abs(s + n * dt - t_end) <= 1e-9 * max(1.0, abs(t_end))
+    slack = 0.5 * SPAN_SLACK * max(1.0, abs(t_end))
+    full = n > 0 and abs((s + (n - 1) * dt) + dt - t_end) <= slack
     if not full:
         n = int(np.ceil((t_end - s) / dt - 1e-12))
     starts = [s + k * dt for k in range(n)]
@@ -261,9 +263,10 @@ def _time_steps(s: float, t_end: float, dt: float) -> list[tuple[float, float, f
 
 def _check_span(times: np.ndarray, t: float) -> None:
     """``ValueError`` unless t lies in [times[0], times[-1]] up to a relative
-    ``SPAN_SLACK`` (the slack by which ``_time_steps`` lets a full last step
-    overshoot its end). The one span rule of a recorded flow: every read and
-    both ends of every frozen solve along the flow are held to it."""
+    ``SPAN_SLACK`` (twice the slack by which ``_time_steps`` lets a full
+    last step overshoot its end). The one span rule of a recorded flow:
+    every read and both ends of every frozen solve along the flow are held
+    to it."""
     slack = SPAN_SLACK * max(1.0, abs(t))
     if not times[0] - slack <= t <= times[-1] + slack:
         raise ValueError(f"t={t} lies outside the recorded span [{times[0]}, {times[-1]}]")

@@ -3,7 +3,10 @@ distances, cylindrical test functionals and their intrinsic gradient.
 
 Conventions used throughout the package:
 
-* point arrays have shape ``(N, d)``,
+* point arrays have shape ``(N, d)``, C-ordered float (``_cloud``); a
+  scalar or a 1-D array is N atoms on the line, and a particle simulator
+  raises ``ValueError`` on a cloud whose width d is not the coefficients'
+  ``d``,
 * spatial test functions are vectorized: ``h(points) -> (N,)``,
   ``grad(points) -> (N, d)``, ``hess(points) -> (N, d, d)``,
 * weights always sum to one.
@@ -55,6 +58,18 @@ def _level_ranks(n: int) -> np.ndarray:
     return -(-num // (2 * QUANTILE_GRID)) - 1
 
 
+def _cloud(positions) -> np.ndarray:
+    """The one shape rule of a particle cloud: ``positions`` as a C-ordered
+    float array of shape (N, d), copied only when its dtype or order
+    differs. A scalar or a 1-D array is N atoms on the line; more than two
+    dimensions raise ``ValueError``."""
+    # C order: einsum sums strided atoms in another order, to other bits
+    pts = np.asarray(positions, dtype=float, order="C")
+    if pts.ndim > 2:
+        raise ValueError(f"a cloud has shape (N, d), got {pts.shape}")
+    return pts.reshape(-1, 1) if pts.ndim < 2 else pts
+
+
 class MeasureViewError(ValueError):
     """A coefficient asked for a measure feature (e.g. a density) that the
     supplied measure object cannot provide."""
@@ -87,10 +102,7 @@ class EmpiricalMeasure:
     density: "GridDensity1D | None" = field(default=None, compare=False)
 
     def __post_init__(self):
-        # C order: einsum sums strided atoms in another order, to other bits
-        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(self.points, dtype=float)))
-        if pts.ndim != 2:
-            raise ValueError("points must be an (N, d) array")
+        pts = _cloud(self.points)
         w = np.asarray(self.weights, dtype=float).ravel()
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights length mismatch")
@@ -113,12 +125,10 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_atoms(cls, positions, weights=None) -> "EmpiricalMeasure":
-        pts = np.atleast_1d(np.asarray(positions, dtype=float))
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _cloud(positions)
         if weights is None:
             weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        return cls(pts, np.asarray(weights, dtype=float))
+        return cls(pts, weights)
 
     # sums over the atoms run in einsum's loops: threaded BLAS bits follow the thread count
     def integrate(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -354,20 +364,18 @@ def w2_to_quantile(mu, quantile: Callable[[np.ndarray], np.ndarray]) -> float:
     function, via the quantile-coupling integral on the midpoints of
     ``QUANTILE_GRID`` equal probability cells.
 
+    mu is a grid density or an equally weighted cloud, which reads each
+    level at its exact rank (``_w2_at_ranks``); a cloud with unequal
+    weights raises ``ValueError`` (``wasserstein2`` takes weighted clouds).
     Avoids double sampling noise when comparing against analytic references.
     """
     p = _quantile_levels()
     q_ref = np.asarray(quantile(p), dtype=float)
     if isinstance(mu, GridDensity1D):
-        q_mu = mu.quantile(p)
-    else:
-        xs, ws = mu.sorted_1d()
-        if np.all(ws == ws[0]):
-            return _w2_at_ranks(xs, q_ref)
-        cdf = np.cumsum(ws)
-        idx = np.minimum(np.searchsorted(cdf, p, side="left"), len(xs) - 1)
-        q_mu = xs[idx]
-    return float(np.sqrt(np.mean((q_mu - q_ref) ** 2)))
+        return float(np.sqrt(np.mean((mu.quantile(p) - q_ref) ** 2)))
+    if not np.all(mu.weights == mu.weights[0]):
+        raise ValueError("w2_to_quantile needs equal weights; use wasserstein2 for a weighted cloud")
+    return _w2_at_ranks(mu.sorted_1d()[0], q_ref)
 
 
 def w2_gaussian_1d(m1: float, v1: float, m2: float, v2: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .fpe import _record_index, _time_steps
-from .measures import EmpiricalMeasure, kde_density, silverman_bandwidth
+from .measures import EmpiricalMeasure, _cloud, kde_density, silverman_bandwidth
 
 __all__ = [
     "KDESpec",
@@ -137,22 +137,26 @@ def _normals(seed: int, n: int, d: int) -> Callable[[int], np.ndarray]:
 
 def _simulate(
     x0: np.ndarray,
+    width: int,
     s: float,
     t_end: float,
     cfg: SimConfig,
     drift_diffusion: Callable,
 ) -> PathEnsemble:
-    """The one Euler-Maruyama loop. ``drift_diffusion(t, h, X)`` is called
-    once per step (t, h) with the cloud at t and returns (b, sigma) there,
-    shapes (N, d) and (N, d, m); the cloud then moves by
+    """The one Euler-Maruyama loop. x0 takes the cloud shape rule of
+    ``measures._cloud`` (a 1-D x0 is N particles on the line), and a cloud
+    whose width d is not ``width``, the coefficients' dimension, raises
+    ``ValueError`` before the first step. ``drift_diffusion(t, h, X)`` is
+    called once per step (t, h) with the cloud at t and returns (b, sigma)
+    there, shapes (N, d) and (N, d, m); the cloud then moves by
     b h + sigma Z sqrt(h), Z the (N, m) normals of ``_normals``, whose
     generator is made once for the whole simulation, at the first step,
-    which tells m. The loop steps a private C-ordered copy of x0, never the
-    caller's array. Records fill one preallocated array."""
-    X = np.array(x0, dtype=float, order="C", ndmin=2)
-    if X.ndim != 2:
-        raise ValueError("x0 must have shape (N, d)")
+    which tells m. Each step makes a new cloud, so the caller's x0 is never
+    written. Records fill one preallocated array."""
+    X = _cloud(x0)
     N, d = X.shape
+    if d != width:
+        raise ValueError(f"the cloud has width {d}, the coefficients take {width}")
 
     steps = _time_steps(s, t_end, cfg.dt)
     n_records = 1 + -(-len(steps) // cfg.record_every)  # start, every k-th step, last
@@ -184,7 +188,7 @@ def simulate_mckean_vlasov(
     def drift_diffusion(t, h, X):
         return coeffs.fields(t, X, _law(X, cfg.kde))
 
-    return _simulate(x0, s, t_end, cfg, drift_diffusion)
+    return _simulate(x0, coeffs.d, s, t_end, cfg, drift_diffusion)
 
 
 def simulate_frozen(
@@ -210,7 +214,7 @@ def simulate_frozen(
     def drift_diffusion(t, h, X):
         return frozen.fields(t, X, flow(t))
 
-    return _simulate(x0, s, t_end, cfg, drift_diffusion)
+    return _simulate(x0, coeffs.d, s, t_end, cfg, drift_diffusion)
 
 
 def simulate_lifted(
@@ -229,11 +233,11 @@ def simulate_lifted(
     Returns the y and x clouds as two ensembles that share ``times``. The y
     cloud is bit for bit ``simulate_mckean_vlasov`` from x0_mu, and the x
     cloud ``simulate_frozen`` from x0_nu along that run recorded at every
-    step: row i of both rides stream i, as in either standalone run. Clouds
-    of different shapes raise ``ValueError``.
+    step: row i of both rides stream i, as in either standalone run. Each
+    cloud takes the shape rule of ``measures._cloud``; clouds of different
+    shapes, or of a width other than ``coeffs.d``, raise ``ValueError``.
     """
-    Y0 = np.atleast_2d(np.asarray(x0_mu, dtype=float))
-    X0 = np.atleast_2d(np.asarray(x0_nu, dtype=float))
+    Y0, X0 = _cloud(x0_mu), _cloud(x0_nu)
     if Y0.shape != X0.shape:
         raise ValueError(f"the two clouds must have one shape (N, d), got {Y0.shape} and {X0.shape}")
     N, d = Y0.shape
@@ -249,7 +253,7 @@ def simulate_lifted(
         b[:, d:], sig[:, d:] = frozen.fields(t, X, mu)
         return b, sig
 
-    pair = _simulate(np.hstack([Y0, X0]), s, t_end, cfg, drift_diffusion)
+    pair = _simulate(np.hstack([Y0, X0]), 2 * coeffs.d, s, t_end, cfg, drift_diffusion)
     return tuple(
         PathEnsemble(pair.times, pair.positions[..., half], cfg.kde)
         for half in (slice(None, d), slice(d, None))

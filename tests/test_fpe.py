@@ -386,6 +386,8 @@ class TestPathContainer:
     @settings(max_examples=80, deadline=None)
     @given(st.floats(-5.0, 5.0), st.floats(1e-4, 0.1), st.integers(1, 200), st.floats(0.01, 1.0))
     @example(2.0, 1e-4, 2, 0.99999)  # a full last step that overshoots its end by 1e-9 at |t| = 2
+    # s + n dt misses t_end by 9.99999999e-10, the read's t_{n-1} + dt by 1.0000000003e-9
+    @example(0.0, 1e-4, 59, 0.99999)
     def test_step_ends_hit_their_records(self, s, dt, n, last):
         steps = _time_steps(s, s + (n - 1 + last) * dt, dt)
         times = np.array([s] + [t_next for _, _, t_next in steps])

@@ -51,6 +51,18 @@ class TestEmpiricalMeasure:
         assert mu.cov()[0, 0] == pytest.approx(0.25 * 1.5**2 + 0.75 * 0.5**2)
         assert mu.second_moment() == pytest.approx(3.0)
 
+    def test_constructor_reads_1d_points_as_atoms_on_the_line(self):
+        w = np.array([0.25, 0.75])
+        line = EmpiricalMeasure(np.array([0.0, 2.0]), w)
+        column = EmpiricalMeasure(np.array([[0.0], [2.0]]), w)
+        assert line.points.shape == (2, 1)
+        assert np.array_equal(line.points, column.points)
+        assert np.array_equal(line.points, EmpiricalMeasure.from_atoms([0.0, 2.0], w).points)
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            EmpiricalMeasure.from_atoms(np.zeros((2, 1, 1)))
+
     def test_integrate(self):
         mu = EmpiricalMeasure.from_atoms([1.0, 3.0])
         assert mu.integrate(lambda X: X[:, 0] ** 2) == pytest.approx(5.0)
@@ -162,16 +174,6 @@ class TestCloudReductions:
         assert_fsum_close(mu.integrate(h), w * h(X))
 
 
-@st.composite
-def dyadic_cloud(draw):
-    """Atoms with positive integer counts that sum to a power of two."""
-    n = 2 ** draw(st.integers(1, 12))
-    k = draw(st.integers(1, min(n, 20)))
-    cuts = draw(st.lists(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1, unique=True))
-    counts = np.diff([0, *sorted(cuts), n]).tolist()
-    return draw(st.lists(st.floats(-10, 10), min_size=k, max_size=k)), counts
-
-
 class TestWasserstein:
     @settings(max_examples=60, deadline=None)
     @given(small_cloud(), small_cloud())
@@ -207,18 +209,10 @@ class TestWasserstein:
         ref = w2_gaussian_1d(0.5, 1.0, -1.0, 4.0)
         assert w2_to_quantile(g, q) == pytest.approx(ref, abs=5e-3)
 
-    @settings(max_examples=100, deadline=None)
-    @given(dyadic_cloud())
-    @example(([0.0, 1.0], [1, 63]))  # the level p_j = 1/64 is the first atom's weight
-    def test_w2_to_quantile_reads_dyadic_weights_as_repeated_atoms(self, cloud):
-        # weights counts / 2^m sum exactly, so the weighted cloud's float
-        # cumulative weights meet each level where the repeated cloud's exact
-        # ranks do
-        xs, counts = np.array(cloud[0]), np.array(cloud[1])
-        weighted = EmpiricalMeasure.from_atoms(xs, counts / counts.sum())
-        repeated = EmpiricalMeasure.from_atoms(np.repeat(xs, counts))
-        q = lambda p: np.log(p / (1 - p))
-        assert w2_to_quantile(weighted, q) == w2_to_quantile(repeated, q)
+    def test_w2_to_quantile_rejects_unequal_weights(self):
+        mu = EmpiricalMeasure.from_atoms([0.0, 1.0], [0.25, 0.75])
+        with pytest.raises(ValueError, match="wasserstein2"):
+            w2_to_quantile(mu, lambda p: np.log(p / (1 - p)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

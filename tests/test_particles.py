@@ -13,7 +13,7 @@ from mvlab.coefficients import (
     nldbm_coefficients,
 )
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
-from mvlab.measures import MeasureViewError
+from mvlab.measures import EmpiricalMeasure, MeasureViewError
 from mvlab.particles import (
     _BLOCK,
     KDESpec,
@@ -126,8 +126,6 @@ class TestFrozen:
         assert np.abs(frozen.positions[-1] - ens.positions[-1]).max() < 1e-3
 
     def test_flow_can_be_callable(self, ou):
-        from mvlab.measures import EmpiricalMeasure
-
         x0 = initial_cloud(200)
         target = EmpiricalMeasure.from_atoms([0.0])
         ens = simulate_frozen(x0, lambda t: target, ou, 0.0, 0.1,
@@ -211,6 +209,30 @@ class TestValidation:
                                      SimConfig(dt=1e-3, seed=0, record_every=3))
         assert np.allclose(ens.times, [0.0, 0.003, 0.006, 0.009, 0.01], rtol=0, atol=1e-15)
         assert ens.positions.shape == (5, 3, 1)
+
+    @staticmethod
+    def _run(name, x0, cs):
+        cfg = SimConfig(dt=1e-3, seed=4, record_every=5)
+        if name == "mkv":
+            return simulate_mckean_vlasov(x0, cs, 0.0, 0.02, cfg).positions
+        if name == "frozen":
+            law = EmpiricalMeasure.from_atoms([0.5])
+            return simulate_frozen(x0, lambda t: law, cs, 0.0, 0.02, cfg).positions
+        ens_y, ens_x = simulate_lifted(x0, -x0, cs, 0.0, 0.02, cfg)
+        return np.stack([ens_y.positions, ens_x.positions])
+
+    @pytest.mark.parametrize("name", ["mkv", "frozen", "lifted"])
+    def test_1d_cloud_is_particles_on_the_line(self, ou, name):
+        x0 = initial_cloud(7)
+        line = self._run(name, x0[:, 0], ou)
+        column = self._run(name, x0, ou)
+        assert line.shape == column.shape and line.shape[-2:] == (7, 1)
+        assert np.array_equal(line, column)
+
+    @pytest.mark.parametrize("name", ["mkv", "frozen", "lifted"])
+    def test_cloud_wider_than_the_coefficients_rejected(self, ou, name):
+        with pytest.raises(ValueError, match="width"):
+            self._run(name, np.zeros((5, 2)), ou)
 
     def test_flow_must_cover_horizon(self, ou):
         flow = solve_nonlinear_fpe(gaussian_grid(0.25), ou, 0.0, 0.2, SolverConfig(dt=1e-2))
