@@ -1,8 +1,9 @@
 """Experiment runner.
 
-One experiment per invocation, driven by a JSON config file. The resolved
-config, library versions, and seed are written to manifest.json in the
-output directory; rerunning with the same manifest reproduces every
+One experiment per invocation, driven by a JSON config file. The config as
+given (with the ``--seed`` override, if any, in place of its seed; defaults
+are not filled in) and the library versions are written to manifest.json in
+the output directory; rerunning with the same manifest reproduces every
 artifact bitwise (no timestamps anywhere).
 
 Exit codes: 0 success, 2 invariant violation (for example an ergodicity
@@ -90,12 +91,12 @@ TERMINALS = {
 }
 # The smallest accepted value of a number: the smallest at which every
 # experiment that reads the key runs (n_boot and n_particles >= 2 for the
-# ddof=1 standard errors).
+# ddof=1 standard errors). A bandwidth or tolerance of 0 selects its default.
 BOUNDS = {
     "dt": (">", 0), "dx": (">", 0), "horizon": (">", 0), "var": (">", 0),
     "n_cells": (">=", 1), "n_particles": (">=", 2), "record_every": (">=", 1),
     "replicas": (">=", 1), "checkpoints": (">=", 1), "quad_points": (">=", 1),
-    "n_boot": (">=", 2), "seed": (">=", 0),
+    "n_boot": (">=", 2), "seed": (">=", 0), "bandwidth": (">=", 0), "tolerance": (">=", 0),
 }
 # the accepted values of a string
 CHOICES = {

@@ -5,6 +5,10 @@ sampling-based validators for the structural hypotheses each family claims.
 
 Coefficient callables are vectorized: ``b(t, X, mu) -> (N, d)`` and
 ``sigma(t, X, mu) -> (N, d, m)`` for point batches ``X`` of shape ``(N, d)``.
+Callers reach them through ``CoefficientSet.fields``, which reads X by the
+package's one point rule, ``measures._cloud`` (a 1-D array is N points on
+the line), and raises ``ValueError`` when X's width is not ``d``; the
+callables take the (N, d) batch as it is.
 The measure argument is any object with ``mean()``/``second_moment()`` and,
 for Nemytskii coefficients, ``density_at(x)`` (a grid density reads its
 cells, a particle cloud its attached KDE view).
@@ -17,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, _cloud
 
 __all__ = [
     "CoefficientSet",
@@ -59,7 +63,12 @@ class CoefficientSet:
         return CoefficientSet(self.b_bar, self.sigma_bar, d=self.d)
 
     def fields(self, t, X, mu) -> tuple[np.ndarray, np.ndarray]:
-        """(b, sigma) at the points X as float arrays; b is evaluated first."""
+        """(b, sigma) at the points X as float arrays; b is evaluated first.
+        X is read by ``measures._cloud`` (a 1-D array is N points on the
+        line), and points whose width is not ``d`` raise ``ValueError``."""
+        X = _cloud(X)
+        if X.shape[1] != self.d:
+            raise ValueError(f"the points have width {X.shape[1]}, the coefficients take {self.d}")
         return (
             np.asarray(self.b(t, X, mu), dtype=float),
             np.asarray(self.sigma(t, X, mu), dtype=float),
@@ -68,7 +77,7 @@ class CoefficientSet:
     def generator(self, t, X, mu, h) -> np.ndarray:
         """The Kolmogorov operator 1/2 sigma sigma^T : hess h + b . grad h
         of the inner test function ``h`` at the points X, shape (N,)."""
-        X = np.atleast_2d(X)
+        X = _cloud(X)
         b, s = self.fields(t, X, mu)
         a = np.einsum("nik,njk->nij", s, s)
         grad = np.asarray(h.grad(X), dtype=float)
@@ -105,16 +114,18 @@ class NLDBMParams:
 
 
 def canonical_confining_potential(C: float = 1.0, alpha: float = 0.5):
-    """Phi(x) = C (1 + |x|^2)^alpha and its gradient, vectorized over (N, d)."""
+    """Phi(x) = C (1 + |x|^2)^alpha and its gradient, vectorized over (N, d)
+    points read by ``measures._cloud`` (a 1-D array is N points on the
+    line): Phi returns (N,), gradPhi (N, d)."""
     if not (0 < alpha <= 0.5):
         raise ValueError("alpha must lie in (0, 1/2]")
 
     def Phi(x):
-        x = np.atleast_2d(x)
+        x = _cloud(x)
         return C * (1 + np.einsum("ij,ij->i", x, x)) ** alpha
 
     def gradPhi(x):
-        x = np.atleast_2d(x)
+        x = _cloud(x)
         r2 = np.einsum("ij,ij->i", x, x)
         return 2 * alpha * C * x * ((1 + r2) ** (alpha - 1))[:, None]
 
@@ -156,12 +167,10 @@ def nldbm_coefficients(p: NLDBMParams) -> CoefficientSet:
     """
 
     def b(t, X, mu):
-        X = np.atleast_2d(X)
         u = mu.density_at(X[:, 0])
         return -np.asarray(p.b_scalar(u), dtype=float)[:, None] * np.asarray(p.gradPhi(X), dtype=float)
 
     def sigma(t, X, mu):
-        X = np.atleast_2d(X)
         u = mu.density_at(X[:, 0])
         return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), 1)
 
@@ -182,11 +191,9 @@ def meanfield_ou_coefficients(
         raise ValueError("lambda0 and sigma0 must be positive")
 
     def b(t, X, mu):
-        X = np.atleast_2d(X)
         return -lambda0 * X + kappa0 * np.atleast_1d(mu.mean())
 
     def sigma(t, X, mu):
-        X = np.atleast_2d(X)
         return _isotropic_sigma(np.full(X.shape[0], sigma0), d)
 
     consts = MonotonicityConstants(
@@ -203,10 +210,9 @@ def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
     """Plain Brownian coefficients: b = 0, sigma sigma^T = diffusion * Id."""
 
     def b(t, X, mu):
-        return np.zeros_like(np.atleast_2d(X))
+        return np.zeros_like(X)
 
     def sigma(t, X, mu):
-        X = np.atleast_2d(X)
         return _isotropic_sigma(np.full(X.shape[0], np.sqrt(diffusion)), d)
 
     return CoefficientSet(b=b, sigma=sigma, d=d)
@@ -265,7 +271,7 @@ def _validate_nldbm(p: NLDBMParams, n, rng) -> HypothesisReport:
         bvals = np.asarray(p.b_scalar(r), dtype=float)
         rep.record("b_bounded", 1.0 if np.all(np.isfinite(bvals)) else -np.inf)
         X = rng.uniform(*SAMPLE_BOX, (n, 1))
-        g = np.linalg.norm(np.atleast_2d(p.gradPhi(X)), axis=1)
+        g = np.linalg.norm(_cloud(p.gradPhi(X)), axis=1)
         rep.record("gradPhi_bounded", 1.0 if np.all(np.isfinite(g)) else -np.inf)
         rep.record("Phi_geq_one", float(np.min(np.asarray(p.Phi(X)) - 1.0)))
     return rep

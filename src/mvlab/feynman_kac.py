@@ -155,7 +155,9 @@ def fk_evaluate(
     if backend == "mc":
         return fk_evaluate_mc(problem, t, x, mu, cfg, n_particles, seed, flow=flow)
     if backend == "grid":
-        x = float(np.atleast_1d(x)[0])
+        if np.size(x) != 1:
+            raise ValueError(f"the grid backend evaluates at one point, got x={x!r}")
+        x = float(np.asarray(x).item())
         mu.check_inside_centers(x)
         w = fk_evaluate_grid(problem, t, mu, cfg, flow=flow)
         val = float(np.interp(x, mu.centers, w))

@@ -26,7 +26,7 @@ from .fpe import (
     solve_frozen_fpe,
     solve_nonlinear_fpe,
 )
-from .measures import CylindricalFunction, GridDensity1D, InnerTest
+from .measures import CylindricalFunction, GridDensity1D, InnerTest, _cloud
 
 __all__ = [
     "LiftedTestFunction",
@@ -50,7 +50,7 @@ class LiftedTestFunction:
     measure_part: CylindricalFunction
 
     def __call__(self, x: np.ndarray, mu) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _cloud(x)
         return np.asarray(self.point_part.h(x), dtype=float) * self.measure_part(mu)
 
 
@@ -86,11 +86,12 @@ def apply_lifted_generator(
     G: LiftedTestFunction, coeffs: CoefficientSet, t: float, x, mu
 ) -> np.ndarray:
     """Lifted Kolmogorov operator on G(x, mu) = g(x) F(mu) at the (N, d)
-    points x, returned as (N,) values: the frozen point generator acting on g
+    points x (read by ``measures._cloud``: a 1-D x is N points on the
+    line), returned as (N,) values: the frozen point generator acting on g
     times F(mu), plus g(x) times the measure generator acting on F. Both
     parts are the one Kolmogorov operator, of ``coeffs.frozen`` at x and of
     ``coeffs`` under mu."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _cloud(x)
     g = G.point_part
     point_term = coeffs.frozen.generator(t, x, mu, g)
     measure_term = apply_measure_generator(G.measure_part, coeffs, t, mu)

@@ -4,9 +4,12 @@ distances, cylindrical test functionals and their intrinsic gradient.
 Conventions used throughout the package:
 
 * point arrays have shape ``(N, d)``, C-ordered float (``_cloud``); a
-  scalar or a 1-D array is N atoms on the line, and a particle simulator
-  raises ``ValueError`` on a cloud whose width d is not the coefficients'
-  ``d``,
+  scalar or a 1-D array is N atoms on the line. Every function of the
+  package that takes points (clouds, coefficient fields, test functions of
+  the lifted dynamics, the field of ``intrinsic_gradient``) reads them by
+  this one rule, and ``CoefficientSet.fields`` (like a particle simulator,
+  up front) raises ``ValueError`` on points whose width d is not the
+  coefficients' ``d``,
 * spatial test functions are vectorized: ``h(points) -> (N,)``,
   ``grad(points) -> (N, d)``, ``hess(points) -> (N, d, d)``,
 * weights always sum to one.
@@ -301,12 +304,14 @@ def intrinsic_gradient(F: CylindricalFunction, mu) -> Callable[[np.ndarray], np.
     """Gradient of F on measure space at mu, as a vector field on R^d.
 
     The field is sum_i df_i(mu(h_1), ..., mu(h_n)) * grad h_i; it does not
-    depend on the chosen cylindrical representation of F.
+    depend on the chosen cylindrical representation of F. It reads its
+    points by ``_cloud`` (a 1-D array is N points on the line) and returns
+    the (N, d) gradients.
     """
     coeff = np.asarray(F.outer_grad(F.inner_values(mu)), dtype=float)
 
     def field(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _cloud(x)
         out = np.zeros_like(x)
         for c, t in zip(coeff, F.inner):
             out += c * np.asarray(t.grad(x), dtype=float)
@@ -439,7 +444,9 @@ def kde_density(
         kx = np.arange(-half, half + 1) * dx
         kernel = np.exp(-0.5 * (kx / bandwidth) ** 2)
         kernel /= kernel.sum() * dx
-        dens = np.convolve(hist, kernel, mode="same")
+        # the n_cells centered entries of the full convolution: mode "same"
+        # returns the kernel's length when the kernel is the longer one
+        dens = np.convolve(hist, kernel, mode="full")[half : half + n_cells]
     else:
         raise ValueError(f"unknown method {method!r}")
     total = dens.sum() * dx

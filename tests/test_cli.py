@@ -241,7 +241,9 @@ PROBE_NUMERICS = {"dt": 2e-3, "dx": 0.02, "n_cells": 800, "horizon": 0.05}
     ("solve-fpe", OU, {"horizon": 0.2}, {"initial": {"kind": "gaussian", "mean": 100.0}},
      "initial"),
     ("simulate-mkv", HEAT, {}, {"seed": -1}, "seed"),
-], ids=[f"probe{i}" for i in range(1, 18)])
+    ("simulate-mkv", HEAT, {"bandwidth": -0.1}, {}, "bandwidth"),
+    ("gradient-check", HEAT, {"tolerance": -1.0}, {}, "tolerance"),
+], ids=[f"probe{i}" for i in range(1, 20)])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, coefficients,
                                           numerics, top, key):
     path, _ = write_config(tmp_path, "probe.json", experiment=experiment,

@@ -12,9 +12,10 @@ from mvlab.coefficients import (
     nldbm_coefficients,
     validate_hypotheses,
 )
-from mvlab.measures import EmpiricalMeasure, InnerTest, kde_density
-from mvlab.presets import arctan_params, cos_test, gaussian_grid
-from tests_helpers import square_test
+from mvlab.lifted import LiftedTestFunction, apply_lifted_generator
+from mvlab.measures import EmpiricalMeasure, InnerTest, intrinsic_gradient, kde_density
+from mvlab.presets import arctan_params, cos_test, gaussian_grid, tanh_test
+from tests_helpers import linear_F, square_test
 
 
 class TestNLDBMParams:
@@ -129,6 +130,35 @@ class TestCoefficientSets:
         )
         X = np.array([[1.0, -2.0], [0.5, 0.0]])
         np.testing.assert_allclose(cs.generator(0.0, X, None, sq), [1.4, 1.4], rtol=1e-14)
+
+
+OU, _ = meanfield_ou_coefficients(2.0, 0.5, 1.5)
+CLOUD = EmpiricalMeasure.from_atoms([1.0, 3.0])
+G = LiftedTestFunction(cos_test(), linear_F(tanh_test()))
+PHI, GRAD_PHI = canonical_confining_potential(2.0, 0.3)
+# every reader of points, as a function of the points alone
+POINT_READERS = {
+    "fields_b": lambda x: OU.fields(0.0, x, CLOUD)[0],
+    "fields_sigma": lambda x: OU.fields(0.0, x, CLOUD)[1],
+    "generator": lambda x: OU.generator(0.0, x, CLOUD, cos_test()),
+    "intrinsic_gradient": lambda x: intrinsic_gradient(G.measure_part, CLOUD)(x),
+    "lifted_test_function": lambda x: G(x, CLOUD),
+    "apply_lifted_generator": lambda x: apply_lifted_generator(G, OU, 0.0, x, CLOUD),
+    "Phi": PHI,
+    "gradPhi": GRAD_PHI,
+}
+
+
+class TestPointRule:
+    @pytest.mark.parametrize("reader", POINT_READERS.values(), ids=POINT_READERS.keys())
+    def test_1d_array_is_points_on_the_line(self, reader):
+        # three points on the line, not one point in R^3
+        x = np.array([0.1, 0.2, 0.3])
+        assert np.array_equal(reader(x), reader(x[:, None]))
+
+    def test_fields_rejects_points_of_another_width(self):
+        with pytest.raises(ValueError, match="width 2, the coefficients take 1"):
+            OU.fields(0.0, np.zeros((3, 2)), CLOUD)
 
 
 class TestHypothesisValidation:

@@ -205,3 +205,12 @@ class TestGridBackend:
         prob = FKProblem(heat_coefficients(1, 1.0), 0.01, terminal=lambda X, m: np.tanh(X[:, 0]))
         with pytest.raises(ValueError, match="outside grid centers"):
             fk_evaluate(prob, 0.0, x, mu, CFG, backend="grid")
+
+    def test_more_than_one_point_rejected(self, mu):
+        # neither backend may read x[0] alone
+        prob = FKProblem(heat_coefficients(1, 1.0), 0.01, terminal=lambda X, m: np.tanh(X[:, 0]))
+        x = np.array([0.5, 3.0])
+        with pytest.raises(ValueError, match="one point"):
+            fk_evaluate(prob, 0.0, x, mu, CFG, backend="grid")
+        with pytest.raises(ValueError):
+            fk_evaluate(prob, 0.0, x, mu, CFG, backend="mc", n_particles=10)

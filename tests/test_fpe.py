@@ -101,6 +101,15 @@ class TestHeatOracle:
         assert str(err.value) == f"mass drift nan exceeds 1e-12 at t={nan_at[0]:g}"
 
 
+@pytest.mark.parametrize("coeffs", [heat_coefficients(2, 1.0),
+                                    meanfield_ou_coefficients(1.0, 0.5, 1.0, d=2)[0]],
+                         ids=["heat", "ou"])
+def test_march_rejects_coefficients_of_another_width(coeffs):
+    # run on the line, the trace of sigma sigma^T would double the diffusion
+    with pytest.raises(ValueError, match="width 1, the coefficients take 2"):
+        solve_nonlinear_fpe(gaussian(0.25), coeffs, 0.0, 0.5, SolverConfig(dt=1e-3))
+
+
 class TestMeanFieldOU:
     def test_transient_moments(self):
         lam0, kap0, sig0 = 1.0, 0.5, 1.0

@@ -257,11 +257,16 @@ class TestKDE:
 
     def test_binned_close_to_exact(self):
         rng = np.random.default_rng(6)
-        mu = EmpiricalMeasure.from_atoms(rng.normal(size=5000))
-        bw = silverman_bandwidth(mu)
-        a = kde_density(mu, -10.0, 0.01, 2000, bw, method="exact")
-        b = kde_density(mu, -10.0, 0.01, 2000, bw, method="binned")
-        assert a.l1_distance(b) < 1e-3
+        wide = EmpiricalMeasure.from_atoms(rng.normal(size=5000))
+        cases = [
+            (wide, -10.0, 0.01, 2000, silverman_bandwidth(wide)),
+            # 200 cells, fewer than the kernel's 2 * ceil(6 bw / dx) + 1 = 217 taps
+            (EmpiricalMeasure.from_atoms([0.0]), -0.5, 0.005, 200, 0.09),
+        ]
+        for mu, x_min, dx, n_cells, bw in cases:
+            a = kde_density(mu, x_min, dx, n_cells, bw, method="exact")
+            b = kde_density(mu, x_min, dx, n_cells, bw, method="binned")
+            assert a.l1_distance(b) < 1e-3
 
     def test_mass_is_one(self):
         mu = EmpiricalMeasure.from_atoms([0.0, 0.5, 1.0])

@@ -49,16 +49,13 @@ def lp_w2sq(mu, nu):
     return res.fun
 
 
-def reference_normals(seed, stream_indices, k, d):
-    """(N, d) normals of step k for increasing stream indices, drawn the
-    plain way: a fresh Philox per counter block, then a gather of the rows
-    each block needs."""
-    blocks, offsets = np.divmod(stream_indices, _BLOCK)
-    cuts = np.flatnonzero(np.diff(blocks)) + 1
+def reference_normals(seed, n, k, d):
+    """(n, d) normals of step k, row i for stream i, drawn the plain way: a
+    fresh Philox per counter block, each drawing the rows of its block."""
     parts = []
-    for blk, off in zip(blocks[np.r_[0, cuts]], np.split(offsets, cuts)):
+    for blk, r0 in enumerate(range(0, n, _BLOCK)):
         gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, k, blk, 0]))
-        parts.append(gen.standard_normal((off[-1] + 1, d))[off])
+        parts.append(gen.standard_normal((min(_BLOCK, n - r0), d)))
     return np.concatenate(parts)
 
 
