@@ -160,18 +160,18 @@ def decay_study(
 ) -> ErgodicityReport:
     """Particle decay study in one dimension.
 
-    The two clouds are one pair cloud of ``particles.simulate_lifted``: the
-    nonlinear cloud starts from x0_mu, the frozen cloud from x0_nu, pair i
-    rides stream i of the seed in both halves, and every frozen step reads
-    the nonlinear cloud's law at that same step. Distances to the invariant
-    measures are exact quantile-coupling W2 against the supplied analytic
-    quantile functions, with bootstrap standard errors drawn from
-    ``default_rng(boot_seed)``; a generator that drew the initial clouds
-    would resample them with their own words. The clouds must have one
-    shape, (N, 1) or (N,), which ``measures._cloud`` reads as N particles
-    on the line; clouds of other shapes or of a width other than
-    ``coeffs.d``, and a checkpoint that is not a recorded time, raise
-    ``ValueError``.
+    The two clouds are those of one ``particles.simulate_lifted`` run: the
+    nonlinear cloud starts from x0_mu, the frozen cloud from x0_nu, both
+    share one draw per step, so row i of both rides stream i of the seed,
+    and every frozen step reads the nonlinear cloud's law at that same
+    step. Distances to the invariant measures are exact quantile-coupling
+    W2 against the supplied analytic quantile functions, with bootstrap
+    standard errors drawn from ``default_rng(boot_seed)``; a generator
+    that drew the initial clouds would resample them with their own words.
+    The clouds must have one shape, (N, 1) or (N,), which
+    ``measures._cloud`` reads as N particles on the line; clouds of other
+    shapes or of a width other than ``coeffs.d``, and a checkpoint that is
+    not a recorded time, raise ``ValueError``.
     """
     checkpoints = np.asarray(checkpoints, dtype=float)
     horizon = float(checkpoints[-1])
@@ -186,8 +186,9 @@ def decay_study(
     for i, t in enumerate(checkpoints):
         for ens, qfun, w2, se in ((ens_mu, quantile_mu_inf, w2_mu, se_mu),
                                   (ens_nu, quantile_nu_inf, w2_nu, se_nu)):
-            cloud = ens.marginal_at(t).points
-            w2[i], se[i] = _w2_with_stderr(cloud, qfun, n_boot, rng)
+            w2[i], se[i] = _w2_with_stderr(ens.marginal_at(t).points, qfun, n_boot, rng)
+    # the records are read: free them (the study's largest arrays) before the rate fit
+    del ens_mu, ens_nu, ens
 
     mu0 = EmpiricalMeasure.from_atoms(x0_mu)
     nu0 = EmpiricalMeasure.from_atoms(x0_nu)

@@ -100,11 +100,11 @@ def fk_evaluate_mc(
             accum += weight * np.asarray(problem.source(r, X, mu_r), dtype=float) * h
         if problem.potential is not None:
             weight *= np.exp(np.asarray(problem.potential(r, X, mu_r), dtype=float) * h)
-        return frozen.fields(r, X, mu_r)
+        return [frozen.fields(r, X, mu_r)]
 
     # record_every beyond the step count keeps only the start and the end
-    ens = _simulate(np.tile(x, (n_particles, 1)), problem.coeffs.d, t, problem.horizon,
-                    SimConfig(cfg.dt, seed, record_every=10**9), drift_diffusion)
+    (ens,) = _simulate((np.tile(x, (n_particles, 1)),), problem.coeffs.d, t, problem.horizon,
+                       SimConfig(cfg.dt, seed, record_every=10**9), drift_diffusion)
     samples = accum + weight * np.asarray(
         problem.terminal(ens.positions[-1], flow.state_at(problem.horizon)), dtype=float
     )

@@ -52,13 +52,17 @@ def _quantile_levels() -> np.ndarray:
     return (np.arange(QUANTILE_GRID) + 0.5) / QUANTILE_GRID
 
 
+@functools.lru_cache(maxsize=16)
 def _level_ranks(n: int) -> np.ndarray:
     """For each level p_j of ``_quantile_levels``, the 0-based rank of the
     atom that the quantile of n equally weighted sorted atoms reads there:
     the least m with (m + 1) / n >= p_j, i.e. ceil((2j + 1) n / 2Q) - 1, in
-    exact integer arithmetic."""
+    exact integer arithmetic. Cached per n (every bootstrap replicate of a
+    cloud reads the same ranks), so the array is read-only."""
     num = (2 * np.arange(QUANTILE_GRID, dtype=np.int64) + 1) * n
-    return -(-num // (2 * QUANTILE_GRID)) - 1
+    ranks = -(-num // (2 * QUANTILE_GRID)) - 1
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _cloud(positions) -> np.ndarray:

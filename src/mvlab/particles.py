@@ -2,8 +2,9 @@
 
 The mean-field interaction is closed over the empirical law of the particle
 system; density-dependent (Nemytskii) coefficients additionally see a binned
-kernel-density view on a fixed grid. The lifted process pairs each particle
-with a point of the frozen dynamics on the same stream (``simulate_lifted``).
+kernel-density view on a fixed grid. The lifted process steps the nonlinear
+cloud and a cloud of the frozen dynamics side by side, sharing one draw per
+step (``simulate_lifted``); each cloud is stepped as its own contiguous array.
 
 Reproducibility contract: row i of a cloud rides stream i, and its normals
 are a function of (seed, row, step) alone, drawn from a counter-based
@@ -136,44 +137,60 @@ def _normals(seed: int, n: int, d: int) -> Callable[[int], np.ndarray]:
 
 
 def _simulate(
-    x0: np.ndarray,
+    x0s: tuple,
     width: int,
     s: float,
     t_end: float,
     cfg: SimConfig,
     drift_diffusion: Callable,
-) -> PathEnsemble:
-    """The one Euler-Maruyama loop. x0 takes the cloud shape rule of
-    ``measures._cloud`` (a 1-D x0 is N particles on the line), and a cloud
-    whose width d is not ``width``, the coefficients' dimension, raises
-    ``ValueError`` before the first step. ``drift_diffusion(t, h, X)`` is
-    called once per step (t, h) with the cloud at t and returns (b, sigma)
-    there, shapes (N, d) and (N, d, m); the cloud then moves by
-    b h + sigma Z sqrt(h), Z the (N, m) normals of ``_normals``, whose
-    generator is made once for the whole simulation, at the first step,
-    which tells m. Each step makes a new cloud, so the caller's x0 is never
-    written. Records fill one preallocated array."""
-    X = _cloud(x0)
-    N, d = X.shape
+) -> list[PathEnsemble]:
+    """The one Euler-Maruyama loop, over one or more clouds that share one
+    draw per step. Each x0 takes the cloud shape rule of ``measures._cloud``
+    (a 1-D x0 is N particles on the line); clouds of different shapes, or
+    of a width d other than ``width``, the coefficients' dimension, raise
+    ``ValueError`` before the first step. ``drift_diffusion(t, h, *Xs)`` is
+    called once per step (t, h) with the clouds at t and returns one
+    (b, sigma) per cloud there, shapes (N, d) and (N, d, m); each cloud then
+    moves by b h + sigma Z sqrt(h), with one Z for all clouds: the (N, m)
+    normals of ``_normals``, whose generator is made once for the whole
+    simulation, at the first step, where the first sigma tells m.
+
+    Each cloud is stepped as its own contiguous (N, d) array, into a new
+    array per step: the caller's x0, the coefficients' outputs and a cloud
+    that a law was built on are never written. Returns one ensemble per
+    cloud; all share one ``times`` array, and their records fill one
+    preallocated array."""
+    Xs = [_cloud(x0) for x0 in x0s]
+    if len({X.shape for X in Xs}) > 1:
+        raise ValueError(f"the clouds must have one shape (N, d), got {[X.shape for X in Xs]}")
+    N, d = Xs[0].shape
     if d != width:
         raise ValueError(f"the cloud has width {d}, the coefficients take {width}")
 
     steps = _time_steps(s, t_end, cfg.dt)
     n_records = 1 + -(-len(steps) // cfg.record_every)  # start, every k-th step, last
     times = np.empty(n_records)
-    positions = np.empty((n_records, N, d))
-    times[0], positions[0] = s, X
+    records = np.empty((len(Xs), n_records, N, d))
+    times[0], records[:, 0] = s, Xs
     r = 1
     draw = None
     for k, (t, h, t_next) in enumerate(steps):
-        b, sig = drift_diffusion(t, h, X)
+        fields = drift_diffusion(t, h, *Xs)
         if draw is None:
-            draw = _normals(cfg.seed, N, sig.shape[-1])
-        X = X + b * h + np.einsum("nij,nj->ni", sig, draw(k)) * np.sqrt(h)
+            draw = _normals(cfg.seed, N, fields[0][1].shape[-1])
+        z, sqrt_h = draw(k), np.sqrt(h)
+        for i, (b, sig) in enumerate(fields):
+            # X + b h + (sigma Z) sqrt(h) bit for bit: IEEE addition commutes
+            Xn = b * h
+            Xn += Xs[i]
+            e = np.einsum("nij,nj->ni", sig, z)
+            e *= sqrt_h
+            Xn += e
+            Xs[i] = Xn
         if (k + 1) % cfg.record_every == 0 or k + 1 == len(steps):
-            times[r], positions[r] = t_next, X
+            times[r], records[:, r] = t_next, Xs
             r += 1
-    return PathEnsemble(times=times, positions=positions, kde=cfg.kde)
+    return [PathEnsemble(times=times, positions=rec, kde=cfg.kde) for rec in records]
 
 
 def simulate_mckean_vlasov(
@@ -186,9 +203,9 @@ def simulate_mckean_vlasov(
     """Coefficients are closed over the evolving empirical law of the cloud."""
 
     def drift_diffusion(t, h, X):
-        return coeffs.fields(t, X, _law(X, cfg.kde))
+        return [coeffs.fields(t, X, _law(X, cfg.kde))]
 
-    return _simulate(x0, coeffs.d, s, t_end, cfg, drift_diffusion)
+    return _simulate((x0,), coeffs.d, s, t_end, cfg, drift_diffusion)[0]
 
 
 def simulate_frozen(
@@ -212,9 +229,9 @@ def simulate_frozen(
     frozen = coeffs.frozen
 
     def drift_diffusion(t, h, X):
-        return frozen.fields(t, X, flow(t))
+        return [frozen.fields(t, X, flow(t))]
 
-    return _simulate(x0, coeffs.d, s, t_end, cfg, drift_diffusion)
+    return _simulate((x0,), coeffs.d, s, t_end, cfg, drift_diffusion)[0]
 
 
 def simulate_lifted(
@@ -225,10 +242,12 @@ def simulate_lifted(
     t_end: float,
     cfg: SimConfig,
 ) -> tuple[PathEnsemble, PathEnsemble]:
-    """The lifted process on R^d x P as one cloud of N pairs (y, x): y
-    follows the nonlinear fields under the empirical law mu_t of the y
+    """The lifted process on R^d x P as two clouds of N particles, y and
+    x: y follows the nonlinear fields under the empirical law mu_t of the y
     cloud, x follows ``coeffs.frozen`` under that same mu_t of the current
-    step, and both halves of pair i ride stream i (synchronous coupling).
+    step, and the two clouds share one draw per step, so row i of both
+    rides stream i (synchronous coupling). Each cloud is stepped as its own
+    contiguous (N, d) array.
 
     Returns the y and x clouds as two ensembles that share ``times``. The y
     cloud is bit for bit ``simulate_mckean_vlasov`` from x0_mu, and the x
@@ -237,24 +256,10 @@ def simulate_lifted(
     cloud takes the shape rule of ``measures._cloud``; clouds of different
     shapes, or of a width other than ``coeffs.d``, raise ``ValueError``.
     """
-    Y0, X0 = _cloud(x0_mu), _cloud(x0_nu)
-    if Y0.shape != X0.shape:
-        raise ValueError(f"the two clouds must have one shape (N, d), got {Y0.shape} and {X0.shape}")
-    N, d = Y0.shape
     frozen = coeffs.frozen
-    b = np.empty((N, 2 * d))
-    sig = np.empty((N, 2 * d, d))
 
-    def drift_diffusion(t, h, Z):
-        # each half in C order, as a standalone simulator hands its cloud to the fields
-        Y, X = np.ascontiguousarray(Z[:, :d]), np.ascontiguousarray(Z[:, d:])
+    def drift_diffusion(t, h, Y, X):
         mu = _law(Y, cfg.kde)
-        b[:, :d], sig[:, :d] = coeffs.fields(t, Y, mu)
-        b[:, d:], sig[:, d:] = frozen.fields(t, X, mu)
-        return b, sig
+        return [coeffs.fields(t, Y, mu), frozen.fields(t, X, mu)]
 
-    pair = _simulate(np.hstack([Y0, X0]), 2 * coeffs.d, s, t_end, cfg, drift_diffusion)
-    return tuple(
-        PathEnsemble(pair.times, pair.positions[..., half], cfg.kde)
-        for half in (slice(None, d), slice(d, None))
-    )
+    return tuple(_simulate((x0_mu, x0_nu), coeffs.d, s, t_end, cfg, drift_diffusion))

@@ -246,6 +246,14 @@ class TestLevelRanks:
         p = Fraction(2 * j + 1, 2 * QUANTILE_GRID)
         assert Fraction(m, n) < p <= Fraction(m + 1, n)
 
+    @pytest.mark.parametrize("n", [1, 640, 20000])
+    def test_cached_ranks_are_read_only_and_fresh(self, n):
+        # every bootstrap replicate reads one cached array, which no caller can write
+        ranks = _level_ranks(n)
+        assert _level_ranks(n) is ranks
+        assert not ranks.flags.writeable
+        assert np.array_equal(ranks, _level_ranks.__wrapped__(n))
+
 
 class TestKDE:
     def test_exact_recovers_gaussian(self):

@@ -12,6 +12,7 @@ from mvlab.coefficients import (
     meanfield_ou_coefficients,
     nldbm_coefficients,
 )
+from mvlab.feynman_kac import FKProblem, fk_evaluate_mc
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
 from mvlab.measures import EmpiricalMeasure, MeasureViewError
 from mvlab.particles import (
@@ -187,6 +188,94 @@ class TestLifted:
         with pytest.raises(ValueError, match="one shape"):
             simulate_lifted(initial_cloud(5), initial_cloud(6), ou, 0.0, 0.01,
                             SimConfig(dt=1e-3, seed=0))
+
+
+_B_OUT = np.full((20, 1), 0.3)  # one drift array, handed out at every call
+
+
+class TestStepLoopWritesNothing:
+    # the loop makes a new cloud at every step: it writes neither what it was
+    # given nor what it handed out
+    CFG = SimConfig(dt=1e-3, seed=9, record_every=1)
+    heat = heat_coefficients(1, 1.0)
+
+    def test_initial_clouds_unchanged(self, ou):
+        y0, x0 = initial_cloud(20), initial_cloud(20, mean=-1.0, seed=1)
+        y_copy, x_copy = y0.copy(), x0.copy()
+        simulate_lifted(y0, x0, ou, 0.0, 0.01, self.CFG)
+        assert np.array_equal(y0, y_copy) and np.array_equal(x0, x_copy)
+
+    def test_coefficient_output_unchanged(self):
+        cs = CoefficientSet(lambda t, X, mu: _B_OUT, self.heat.sigma)
+        ens_y, _ = simulate_lifted(initial_cloud(20), initial_cloud(20), cs, 0.0, 0.01, self.CFG)
+        assert np.all(_B_OUT == 0.3)
+        assert not np.array_equal(ens_y.positions[-1], ens_y.positions[0])
+
+    def test_kept_laws_and_points_still_read_their_step(self):
+        laws, ys, xs = [], [], []
+
+        def b(t, X, mu):
+            laws.append(mu)
+            ys.append(X)
+            return -X + mu.mean()
+
+        def b_bar(t, X, mu):
+            xs.append(X)
+            return -X + mu.mean()
+
+        cs = CoefficientSet(b, self.heat.sigma, b_bar=b_bar)
+        ens_y, ens_x = simulate_lifted(initial_cloud(20), initial_cloud(20, seed=1), cs,
+                                       0.0, 0.01, self.CFG)
+        assert len(laws) == len(xs) == len(ens_y.times) - 1 == 10
+        for k, mu in enumerate(laws):
+            assert np.array_equal(mu.points, ens_y.positions[k])
+            assert np.array_equal(ys[k], ens_y.positions[k])
+            assert np.array_equal(xs[k], ens_x.positions[k])
+
+
+def _golden_mkv_kde():
+    x0 = np.random.default_rng(21).normal(0.0, 0.7, (300, 1))
+    cfg = SimConfig(dt=1e-3, seed=22, record_every=10, kde=KDESpec(-8.0, 0.02, 800))
+    return simulate_mckean_vlasov(x0, nldbm_coefficients(arctan_params()), 0.0, 0.05, cfg).positions
+
+
+def _golden_lifted(d):
+    cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0, d=d)
+    rng = np.random.default_rng(23)
+    y0, x0 = rng.normal(0.5, 0.5, (300, d)), rng.normal(-0.5, 0.8, (300, d))
+    ens_y, ens_x = simulate_lifted(y0, x0, cs, 0.0, 0.05, SimConfig(dt=1e-3, seed=24, record_every=10))
+    return np.stack([ens_y.positions, ens_x.positions])
+
+
+def _golden_fk_mc():
+    cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+    problem = FKProblem(cs, 0.1, terminal=lambda x, m: np.tanh(x[:, 0]),
+                        potential=lambda t, x, m: -0.5 * x[:, 0] ** 2,
+                        source=lambda t, x, m: np.cos(x[:, 0]))
+    mu = gaussian_grid(0.25, 0.5, x_min=-6.0, dx=0.04, n=300)
+    est = fk_evaluate_mc(problem, 0.0, 0.3, mu, SolverConfig(dt=2e-3), 500, 25)
+    return np.array([est.value, est.stderr])
+
+
+class TestGoldenBits:
+    # SHA-256 of particle results (every record, both clouds of a lifted
+    # run, the Monte Carlo value and stderr); a change that claims to keep
+    # the particle layer's bits, its layout or its update order, must keep these
+    GOLDEN = {
+        "mkv_kde": (_golden_mkv_kde,
+                    "a773622282a55633a81dbde5a3cb9ca60dd0f873d57c1095a07534516b81728b"),
+        "lifted_d1": (lambda: _golden_lifted(1),
+                      "f22938173913c26ad272ef35b396ce9b48cf2982d254e409d3a3701ddee19e95"),
+        "lifted_d2": (lambda: _golden_lifted(2),
+                      "1a2d40d7d284f1a1719d16547cfebc221aa2ae53fd31d43efe6f7ed51037888a"),
+        "fk_mc": (_golden_fk_mc,
+                  "1ba20f7d36e5512d564169fc004a2659eaa409b2d6335efd3970e246809cc45c"),
+    }
+
+    @pytest.mark.parametrize("run, digest", GOLDEN.values(), ids=GOLDEN.keys())
+    def test_golden_digest(self, run, digest):
+        values = np.ascontiguousarray(run(), dtype=np.float64)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestValidation:
