@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import scipy
@@ -144,6 +145,15 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+@contextmanager
+def _config_errors(context: str):
+    """Reraise a library ``ValueError`` as a ``ConfigError`` on ``context``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _split_time(num: dict) -> float:
     return num["split_time"] if num["split_time"] > 0 else num["horizon"] / 2
 
@@ -165,29 +175,21 @@ def validate_config(cfg: dict) -> dict:
     for key in ("initial", "initial_frozen"):
         if key in cfg:
             _check(cfg[key], INITIAL, key, ("kind",))
-    try:
+    with _config_errors("coefficients"):
         _, extra = build_coefficients(fam)
         if experiment == "ergodicity":
             extra.require_contractive()
-    except ValueError as exc:
-        raise ConfigError(f"coefficients: {exc}") from exc
     for key in GRID_LAWS.get(experiment, ("initial",)):
-        try:
+        with _config_errors(key):
             grid = _initial_grid(cfg.get(key), num["x_min"], num["dx"], num["n_cells"])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
     if experiment in ("check-ck", "feynman-kac"):
-        try:
+        with _config_errors("numerics: eval_point"):
             grid.check_inside_centers(num["eval_point"])
-        except ValueError as exc:
-            raise ConfigError(f"numerics: eval_point: {exc}") from exc
     if experiment == "feynman-kac" and not 0 <= num["eval_time"] <= num["horizon"]:
         raise ConfigError(f"numerics: eval_time must be in [0, horizon], got {num['eval_time']!r}")
     if experiment == "check-ck":
-        try:
+        with _config_errors("numerics: split_time"):
             check_split(0.0, _split_time(num), num["horizon"], SolverConfig(num["dt"], num["scheme"]))
-        except ValueError as exc:
-            raise ConfigError(f"numerics: split_time: {exc}") from exc
     return num
 
 

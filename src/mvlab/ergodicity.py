@@ -75,7 +75,11 @@ def find_invariant(
     tol: float = 1e-8,
     max_time: float = 200.0,
 ) -> GridDensity1D:
-    """March the nonlinear equation until successive checkpoints agree in L1."""
+    """March the nonlinear equation until successive checkpoints agree in L1.
+    A check_interval or max_time that is not positive raises ``ValueError``."""
+    for name, v in (("check_interval", check_interval), ("max_time", max_time)):
+        if not v > 0:
+            raise ValueError(f"{name} must be > 0, got {v!r}")
     state = u0
     t = 0.0
     while t < max_time:
@@ -170,9 +174,11 @@ def decay_study(
     that drew the initial clouds would resample them with their own words.
     The clouds must have one shape, (N, 1) or (N,), which
     ``measures._cloud`` reads as N particles on the line; clouds of other
-    shapes or of a width other than ``coeffs.d``, and a checkpoint that is
-    not a recorded time, raise ``ValueError``.
+    shapes or of a width other than ``coeffs.d``, a checkpoint that is
+    not a recorded time, and n_boot < 2, raise ``ValueError``.
     """
+    if n_boot < 2:
+        raise ValueError(f"n_boot must be >= 2, got {n_boot!r}")
     checkpoints = np.asarray(checkpoints, dtype=float)
     horizon = float(checkpoints[-1])
     n = x0_mu.shape[0]

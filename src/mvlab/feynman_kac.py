@@ -33,6 +33,7 @@ from .fpe import (
     DensityPath,
     SolverConfig,
     _check_flow,
+    _check_span,
     _eval_fields,
     solve_backward_kolmogorov,
     solve_nonlinear_fpe,
@@ -84,10 +85,15 @@ def fk_evaluate_mc(
     process from x on streams 0..n_particles-1 of seed, stepped over
     [t, horizon] by ``particles._simulate`` (the last step is short when dt
     does not divide the horizon), potential and source accumulated by
-    left-point rule. A flow that does not cover [t, horizon] raises
-    ``ValueError``."""
+    left-point rule. A flow that does not cover [t, horizon], and fewer
+    than two particles, which leave no standard error, raise ``ValueError``
+    before any step."""
+    if n_particles < 2:
+        raise ValueError(f"n_particles must be >= 2, got {n_particles!r}")
     if flow is None:
         flow = solve_nonlinear_fpe(mu, problem.coeffs, t, problem.horizon, cfg)
+    for r in (t, problem.horizon):
+        _check_span(flow.times, r)
     x = np.asarray(x, dtype=float).reshape(1, problem.coeffs.d)
     frozen = problem.coeffs.frozen
     weight = np.ones(n_particles)
@@ -155,10 +161,7 @@ def fk_evaluate(
     if backend == "mc":
         return fk_evaluate_mc(problem, t, x, mu, cfg, n_particles, seed, flow=flow)
     if backend == "grid":
-        if np.size(x) != 1:
-            raise ValueError(f"the grid backend evaluates at one point, got x={x!r}")
-        x = float(np.asarray(x).item())
-        mu.check_inside_centers(x)
+        x = mu.check_inside_centers(x)
         w = fk_evaluate_grid(problem, t, mu, cfg, flow=flow)
         val = float(np.interp(x, mu.centers, w))
         return FKEstimate(value=val, stderr=0.0)
@@ -198,6 +201,7 @@ def pde_residual(
     transposed upwind finite-volume step, and a probe that reused that
     operator would only check the solver against itself.
     """
+    x = mu.check_inside_centers(x)
     i = int(np.argmin(np.abs(mu.centers - x)))
     if not (0 < i < mu.n_cells - 1):
         raise ValueError("x too close to the domain edge for central differences")

@@ -397,8 +397,7 @@ def solve_nonlinear_fpe(
 def _check_flow(flow: DensityPath, grid: GridDensity1D, s: float, t_end: float, what: str) -> None:
     _check_span(flow.times, s)
     _check_span(flow.times, t_end)
-    ref = flow.states[0]
-    if ref.n_cells != grid.n_cells or abs(ref.x_min - grid.x_min) > 1e-12 or abs(ref.dx - grid.dx) > 1e-15:
+    if not flow.states[0].same_grid(grid):
         raise ValueError(f"{what} grid does not match the flow grid")
 
 

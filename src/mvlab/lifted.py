@@ -99,8 +99,9 @@ def apply_lifted_generator(
 
 
 def delta_on_grid(x: float, like: GridDensity1D) -> GridDensity1D:
-    """Point mass at x as a two-cell density whose mean is exactly x."""
-    like.check_inside_centers(x)
+    """Point mass at x as a two-cell density whose mean is exactly x, read
+    by ``GridDensity1D.check_inside_centers``."""
+    x = like.check_inside_centers(x)
     c = like.centers
     i = int(np.clip(np.searchsorted(c, x) - 1, 0, like.n_cells - 2))
     theta = (c[i + 1] - x) / like.dx
@@ -128,9 +129,9 @@ def kernel_law(
     from zeta) to share it across evaluations; the frozen solve raises
     ``ValueError`` if [s, t] is outside its span (``fpe._check_span``).
     """
+    nu0 = delta_on_grid(x, zeta)
     if flow is None:
         flow = solve_nonlinear_fpe(zeta, coeffs, s, t, cfg)
-    nu0 = delta_on_grid(x, zeta)
     nu = solve_frozen_fpe(nu0, flow, coeffs, cfg, s=s, t_end=t)
     return ProductLaw(point_law=nu.states[-1], measure_atom=flow.state_at(t))
 
@@ -189,9 +190,13 @@ def chapman_kolmogorov_residual(
     deterministic, so its restart is exact), read off at the nodes by linear
     interpolation: that is <delta_on_grid(y), w>, the forward kernel from y
     to roundoff. The sweep is the transposed semi-implicit step, so the
-    explicit scheme is rejected rather than mixed with it.
+    explicit scheme is rejected rather than mixed with it. The split, x and
+    quad_points are checked before the march.
     """
     check_split(s, r, t, cfg)
+    x = zeta.check_inside_centers(x)
+    if quad_points < 1:
+        raise ValueError(f"quad_points must be >= 1, got {quad_points!r}")
     flow = solve_nonlinear_fpe(zeta, coeffs, s, t, cfg)
     direct = kernel_evaluate(G, coeffs, s, t, x, zeta, cfg, flow=flow)
 

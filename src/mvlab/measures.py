@@ -199,12 +199,18 @@ class GridDensity1D:
         """Cell centers, read-only and shared by every density on this grid."""
         return _grid_centers(self.x_min, self.dx, self.n_cells)
 
-    def check_inside_centers(self, x: float) -> None:
-        """``ValueError`` unless x lies between the first and the last cell
-        center, where values on the centers interpolate without clamping."""
+    def check_inside_centers(self, x) -> float:
+        """The one rule for a point on the grid: x, holding one value of any
+        shape, as a float. ``ValueError`` unless it is one value lying between
+        the first and the last cell center, where values on the centers
+        interpolate without clamping."""
+        if np.size(x) != 1:
+            raise ValueError(f"x must be one point on the grid, got x={x!r}")
+        x = np.asarray(x).item()
         c = self.centers
         if not (c[0] <= x <= c[-1]):
             raise ValueError(f"x={x} outside grid centers [{c[0]}, {c[-1]}]")
+        return float(x)
 
     def mass(self) -> float:
         return float(self.dx * self.values.sum())
@@ -224,8 +230,16 @@ class GridDensity1D:
         vals = np.asarray(h(self.centers[:, None]), dtype=float)
         return float(self.dx * np.dot(self.values, vals))
 
+    def same_grid(self, other: "GridDensity1D") -> bool:
+        """The one same-grid rule: equal cell counts, x_min within 1e-12 and
+        dx within 1e-15."""
+        return (other.n_cells == self.n_cells and abs(other.x_min - self.x_min) <= 1e-12
+                and abs(other.dx - self.dx) <= 1e-15)
+
     def l1_distance(self, other: "GridDensity1D") -> float:
-        """dx * sum_i |u_i - v_i| to a density on the same grid."""
+        """dx * sum_i |u_i - v_i| to a density on the same grid (``same_grid``)."""
+        if not self.same_grid(other):
+            raise ValueError("l1_distance needs a density on the same grid")
         return float(np.abs(self.values - other.values).sum() * self.dx)
 
     def mean(self) -> np.ndarray:

@@ -24,13 +24,32 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
+    """About ``n`` round ticks in [lo, hi]; ``_span`` keeps hi above lo."""
     raw = (hi - lo) / n
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = np.ceil(lo / step) * step
     return np.arange(start, hi + 0.5 * step, step)
+
+
+def _text(x, y, size: int, body: str, anchor: str = "", transform: str = "") -> str:
+    """One text element; every text of the plot is written here."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{escape(body)}</text>')
+
+
+def _line(x1, y1, x2, y2, color: str = "") -> str:
+    """One line element: a black tick, or a legend swatch drawn like its series."""
+    stroke = f'"{color}" stroke-width="1.5"' if color else '"black"'
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke={stroke}/>'
+
+
+def _span(v: np.ndarray) -> tuple[float, float]:
+    """(min, max) of ``v``, widened to length 1 when the two are equal."""
+    lo, hi = float(v.min()), float(v.max())
+    return lo, (hi if hi != lo else lo + 1.0)
 
 
 def line_plot(
@@ -41,22 +60,25 @@ def line_plot(
     ylabel: str = "",
     logy: bool = False,
 ) -> None:
-    """Write a line plot of (label, x, y) series to an SVG file."""
+    """Write a line plot of (label, x, y) series to an SVG file.
+
+    Under ``logy`` each series keeps its positive values only, and the y
+    range is read from those; the x range always reads every x."""
     if not series:
         raise ValueError("need at least one series")
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    if logy:
-        ys = ys[ys > 0]
-        if ys.size == 0:
-            raise ValueError("logy plot needs positive values")
-        ys = np.log10(ys)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    curves = []
+    for label, x, y in series:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if logy:
+            keep = y > 0
+            x, y = x[keep], np.log10(y[keep])
+        curves.append((label, x, y))
+    ys = np.concatenate([y for _, _, y in curves])
+    if logy and ys.size == 0:
+        raise ValueError("logy plot needs positive values")
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span(ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -73,51 +95,22 @@ def line_plot(
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{_W // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
-        )
-    ax = (
+        out.append(_text(_W // 2, 20, 14, title, "middle"))
+    out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="black" stroke-width="1"/>'
     )
-    out.append(ax)
     for xt in _ticks(x_lo, x_hi):
-        px = sx(xt)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_H - _MB}" x2="{_fmt(px)}" y2="{_H - _MB + 4}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_H - _MB + 17}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(xt)}</text>'
-        )
+        px, label = sx(xt), _fmt(xt)
+        out += [_line(px, _H - _MB, px, _H - _MB + 4), _text(px, _H - _MB + 17, 11, label, "middle")]
     for yt in _ticks(y_lo, y_hi):
-        py = sy(yt)
-        label = _fmt(10 ** yt) if logy else _fmt(yt)
-        out.append(
-            f'<line x1="{_ML - 4}" y1="{_fmt(py)}" x2="{_ML}" y2="{_fmt(py)}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 7}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        py, label = sy(yt), _fmt(10 ** yt if logy else yt)
+        out += [_line(_ML - 4, py, _ML, py), _text(_ML - 7, py + 4, 11, label, "end")]
     if xlabel:
-        out.append(
-            f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{escape(xlabel)}</text>'
-        )
+        out.append(_text(_W // 2, _H - 10, 12, xlabel, "middle"))
     if ylabel:
-        out.append(
-            f'<text x="16" y="{_H // 2}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_H // 2})">{escape(ylabel)}</text>'
-        )
-    for k, (label, x, y) in enumerate(series):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if logy:
-            keep = y > 0
-            x, y = x[keep], np.log10(y[keep])
+        out.append(_text(16, _H // 2, 12, ylabel, "middle", f"rotate(-90 16 {_H // 2})"))
+    for k, (label, x, y) in enumerate(curves):
         pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, y))
         color = _COLORS[k % len(_COLORS)]
         out.append(
@@ -125,14 +118,8 @@ def line_plot(
         )
         if label:
             ly = _MT + 16 + 16 * k
-            out.append(
-                f'<line x1="{_W - _MR - 120}" y1="{ly - 4}" x2="{_W - _MR - 100}" '
-                f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>'
-            )
-            out.append(
-                f'<text x="{_W - _MR - 95}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{escape(label)}</text>'
-            )
+            out += [_line(_W - _MR - 120, ly - 4, _W - _MR - 100, ly - 4, color),
+                    _text(_W - _MR - 95, ly, 11, label)]
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

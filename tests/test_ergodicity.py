@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from mvlab import ergodicity
 from mvlab.coefficients import MonotonicityConstants, meanfield_ou_coefficients
 from mvlab.ergodicity import (
     _w2_with_stderr,
@@ -22,6 +23,10 @@ from mvlab.presets import gaussian_grid
 def consts(lam=1.5, kap=0.5, lam_bar=1.5, kap_bar=0.5):
     return MonotonicityConstants(K=2.0, lam=lam, kappa=kap, lam_bar=lam_bar,
                                  kappa_bar=kap_bar)
+
+
+def no_march(*args, **kwargs):
+    raise AssertionError("marched before checking the arguments")
 
 
 class TestEnvelope:
@@ -89,6 +94,16 @@ class TestInvariant:
                            check_interval=0.5, tol=1e-14, max_time=2.0)
 
 
+    @pytest.mark.parametrize("kwargs, name", [({"check_interval": 0.0}, "check_interval"),
+                                              ({"max_time": 0.0}, "max_time")])
+    def test_empty_march_rejected(self, monkeypatch, kwargs, name):
+        # check_interval=0 returned the start density; max_time=0 no density at all
+        monkeypatch.setattr(ergodicity, "solve_nonlinear_fpe", no_march)
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            find_invariant(cs, gaussian_grid(0.25, 1.5), SolverConfig(dt=2e-3), **kwargs)
+
+
 class TestDecayStudy:
     def test_envelope_holds_for_ou(self):
         cs, mono = meanfield_ou_coefficients(1.0, 0.5, 1.0)
@@ -115,6 +130,16 @@ class TestDecayStudy:
         with pytest.raises(ValueError, match="no record"):
             decay_study(cs, mono, x0, x0, SimConfig(dt=1e-2, seed=4, record_every=5),
                         np.array([0.0, 0.05, 0.07, 0.1]), q, q, n_boot=2)
+
+    def test_one_bootstrap_replicate_rejected(self, monkeypatch):
+        # one replicate leaves no standard error (ddof=1)
+        monkeypatch.setattr(ergodicity, "simulate_lifted", no_march)
+        cs, mono = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        x0 = np.random.default_rng(3).normal(0.0, 1.0, (200, 1))
+        q = lambda p: norm.ppf(p, scale=np.sqrt(0.5))
+        with pytest.raises(ValueError, match="n_boot"):
+            decay_study(cs, mono, x0, x0, SimConfig(dt=1e-2, seed=4),
+                        np.array([0.0, 0.1]), q, q, n_boot=1)
 
 
 class TestBootstrap:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mvlab import feynman_kac
 from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
 from mvlab.feynman_kac import (
     FKProblem,
@@ -76,6 +77,28 @@ class TestOracles:
             fk_evaluate(prob, 0.0, 0.5, mu, SolverConfig(dt=1e-2), backend="mc",
                         n_particles=100, seed=0, flow=short)
 
+    def test_mc_reads_the_flow_span_before_stepping(self):
+        # a flow on [0, 0.05] and a horizon of 0.1: no step may be taken
+        def source(t, X, m):
+            raise AssertionError("stepped before checking the flow span")
+
+        nu = gaussian_grid(0.5)
+        cs = heat_coefficients(1, 1.0)
+        short = solve_nonlinear_fpe(nu, cs, 0.0, 0.05, CFG)
+        prob = FKProblem(cs, 0.1, terminal=lambda X, m: X[:, 0], source=source)
+        with pytest.raises(ValueError, match="outside the recorded span"):
+            fk_evaluate(prob, 0.0, 0.5, nu, CFG, backend="mc", n_particles=100, flow=short)
+
+    def test_mc_needs_two_particles_before_solving(self, mu, monkeypatch):
+        # one particle leaves no standard error (ddof=1)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking n_particles")
+
+        monkeypatch.setattr(feynman_kac, "solve_nonlinear_fpe", no_solve)
+        prob = FKProblem(heat_coefficients(1, 1.0), 0.1, terminal=lambda X, m: X[:, 0])
+        with pytest.raises(ValueError, match="n_particles"):
+            fk_evaluate(prob, 0.0, 0.5, mu, CFG, backend="mc", n_particles=1)
+
     def test_mc_without_potential_is_the_frozen_cloud_mean(self, mu):
         cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
         cfg = SolverConfig(dt=1e-2)
@@ -144,6 +167,11 @@ class TestPDEResidual:
         prob = FKProblem(cs, 0.5, terminal=lambda X, m: X[:, 0])
         with pytest.raises(ValueError, match="edge"):
             pde_residual(prob, 0.0, mu.x_min + mu.dx / 2, mu, CFG)
+
+    def test_point_off_the_grid_rejected(self, mu):
+        prob = FKProblem(heat_coefficients(1, 1.0), 0.5, terminal=lambda X, m: X[:, 0])
+        with pytest.raises(ValueError, match="outside grid centers"):
+            pde_residual(prob, 0.0, 30.0, mu, CFG)
 
 
 class TestLDerivative:

@@ -21,6 +21,10 @@ from mvlab.presets import cos_test, gaussian_grid, tanh_test
 from tests_helpers import heat_semigroup_ck_residual, identity_test, linear_F, square_test
 
 
+def no_solve(*args, **kwargs):
+    raise AssertionError("solved before checking the arguments")
+
+
 class TestMeasureGenerator:
     def test_linear_identity_test_is_mean_drift(self):
         # generator applied to mu -> mu(x) integrates the drift
@@ -158,9 +162,6 @@ class TestKernel:
 
     def test_ck_rejects_split_off_step_grid_before_solving(self, monkeypatch):
         # r = 0.025 is 12.5 steps of 2e-3: the flow holds no record there
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before checking the split time")
-
         monkeypatch.setattr(lifted, "solve_nonlinear_fpe", no_solve)
         cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
         with pytest.raises(ValueError, match=r"r=0.025 is not on the step grid .*s=0.0, t=0.05, dt=0.002"):
@@ -168,6 +169,30 @@ class TestKernel:
                 lambda y, m: y[:, 0], cs, 0.0, 0.025, 0.05, 0.0,
                 gaussian_grid(0.5), SolverConfig(dt=2e-3),
             )
+
+
+    @pytest.mark.parametrize("x, quad_points, match", [
+        ([0.5, 0.7], 16, "one point"), (30.0, 16, "outside grid centers"), (0.5, 0, "quad_points"),
+    ])
+    def test_ck_reads_point_and_nodes_before_solving(self, monkeypatch, x, quad_points, match):
+        monkeypatch.setattr(lifted, "solve_nonlinear_fpe", no_solve)
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match=match):
+            chapman_kolmogorov_residual(
+                lambda y, m: y[:, 0], cs, 0.0, 0.02, 0.05, x,
+                gaussian_grid(0.5), SolverConfig(dt=2e-3), quad_points=quad_points,
+            )
+
+    def test_kernel_law_reads_the_point_before_solving(self, monkeypatch):
+        monkeypatch.setattr(lifted, "solve_nonlinear_fpe", no_solve)
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="outside grid centers"):
+            kernel_law(cs, 0.0, 0.05, 30.0, gaussian_grid(0.5), SolverConfig(dt=2e-3))
+
+    def test_delta_reads_a_point_of_any_shape(self):
+        like = gaussian_grid(0.5)
+        assert np.array_equal(delta_on_grid(np.array([[0.5]]), like).values,
+                              delta_on_grid(0.5, like).values)
 
 
 class TestFlowDerivative:

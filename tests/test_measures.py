@@ -117,6 +117,30 @@ class TestGridDensity1D:
         assert np.array_equal(back[:, 0], g.centers)
         assert np.array_equal(back[:, 1], g.values)
 
+    @pytest.mark.parametrize("other", [
+        presets.gaussian_grid(0.25, x_min=-3.0, dx=0.04, n=200),  # read cell by cell: 1.365
+        GridDensity1D(-4.0, 0.04, [25.0]),  # broadcast against one cell: 199.0
+    ], ids=["shifted", "one-cell"])
+    def test_l1_distance_needs_the_same_grid(self, other):
+        u = presets.gaussian_grid(0.25, x_min=-4.0, dx=0.04, n=200)
+        with pytest.raises(ValueError, match="same grid"):
+            u.l1_distance(other)
+        # the tolerances of the rule: x_min within 1e-12, dx within 1e-15
+        assert u.same_grid(GridDensity1D(-4.0 + 1e-13, 0.04, u.values))
+        assert not u.same_grid(GridDensity1D(-4.0 + 1e-11, 0.04, u.values))
+        assert not u.same_grid(GridDensity1D(-4.0, 0.04 + 1e-14, u.values / (1 + 2.5e-13)))
+
+    @pytest.mark.parametrize("x", [0.5, np.float64(0.5), [0.5], np.array([[0.5]])])
+    def test_one_point_of_any_shape_read_as_a_float(self, x):
+        v = presets.gaussian_grid(0.5).check_inside_centers(x)
+        assert v == 0.5 and type(v) is float
+
+    @pytest.mark.parametrize("x, match", [([0.5, 0.7], "one point"), (np.zeros((1, 2)), "one point"),
+                                          (30.0, "outside grid centers")])
+    def test_point_rule_rejects(self, x, match):
+        with pytest.raises(ValueError, match=match):
+            presets.gaussian_grid(0.5).check_inside_centers(x)
+
     def test_density_at_outside_is_zero(self):
         g = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.01, n=2000)
         assert g.density_at(np.array([-50.0, 50.0])).tolist() == [0.0, 0.0]

@@ -174,8 +174,8 @@ class TestLifted:
 
     @pytest.mark.parametrize("scale", [1.0, 2.0])
     def test_halves_ride_one_noise_column(self, scale):
-        # zero drift, pair sigma of shape (N, 2, 1) with the frozen half scaled:
-        # x - scale y stays 0, so x - y stays constant at scale 1
+        # zero drift and a sigma of shape (N, 1, 1) for each cloud, the frozen
+        # one scaled: both clouds read one draw per step, so x - scale y stays 0
         zero = lambda t, X, mu: np.zeros_like(X)
         cs = CoefficientSet(zero, lambda t, X, mu: np.full((len(X), 1, 1), 0.7),
                             sigma_bar=lambda t, X, mu: np.full((len(X), 1, 1), 0.7 * scale))

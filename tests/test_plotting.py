@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -44,3 +45,23 @@ def test_text_is_xml_escaped(tmp_path):
     line_plot([("a<b & c", x, x)], f, title="a<b & c", xlabel="a<b & c", ylabel="a<b & c")
     texts = [el.text for el in ET.parse(f).getroot().iter("{http://www.w3.org/2000/svg}text")]
     assert texts.count("a<b & c") == 4
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_golden_bytes(tmp_path):
+    # digests recorded before the writer was refactored: any change to the
+    # markup, the number format or the logy filtering moves them
+    x = np.linspace(-2.0, 3.0, 41)
+    lin = str(tmp_path / "lin.svg")
+    line_plot([("gauss <a&b>", x, np.exp(-x * x)), ("", x, 0.5 * x), ("tanh", x, np.tanh(x))],
+              lin, title="Density <p> & q", xlabel="x & y", ylabel="p<x>")
+    # non-positive values in both series; the x range still reads every x
+    t = np.linspace(0.0, 4.0, 33)
+    log = str(tmp_path / "log.svg")
+    line_plot([("decay", t, np.exp(-t) - 0.05), ("floor", t, np.where(t < 2, 1e-3, 0.0))],
+              log, title="envelope", xlabel="t", ylabel="W2", logy=True)
+    assert _sha256(lin) == "f1311da99d97d7a376f2913077ac1d4ee9def950c575249962995f7e6c04fba0"
+    assert _sha256(log) == "a2950169019556ff68902c698de247711f55124f580bc544dfaec0832631a22b"
