@@ -33,7 +33,6 @@ from .fpe import (
     DensityPath,
     SolverConfig,
     _check_flow,
-    _check_span,
     _eval_fields,
     solve_backward_kolmogorov,
     solve_nonlinear_fpe,
@@ -85,15 +84,15 @@ def fk_evaluate_mc(
     process from x on streams 0..n_particles-1 of seed, stepped over
     [t, horizon] by ``particles._simulate`` (the last step is short when dt
     does not divide the horizon), potential and source accumulated by
-    left-point rule. A flow that does not cover [t, horizon], and fewer
-    than two particles, which leave no standard error, raise ``ValueError``
-    before any step."""
+    left-point rule. A flow that does not cover [t, horizon] or lies on
+    another grid than mu (``fpe._check_flow``, the grid backend's rule), and
+    fewer than two particles, which leave no standard error, raise
+    ``ValueError`` before any step."""
     if n_particles < 2:
         raise ValueError(f"n_particles must be >= 2, got {n_particles!r}")
     if flow is None:
         flow = solve_nonlinear_fpe(mu, problem.coeffs, t, problem.horizon, cfg)
-    for r in (t, problem.horizon):
-        _check_span(flow.times, r)
+    _check_flow(flow, mu, t, problem.horizon, "mu")
     x = np.asarray(x, dtype=float).reshape(1, problem.coeffs.d)
     frozen = problem.coeffs.frozen
     weight = np.ones(n_particles)

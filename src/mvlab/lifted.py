@@ -158,7 +158,8 @@ def _stratified_nodes(nu: GridDensity1D, n_nodes: int) -> tuple[np.ndarray, np.n
 def check_split(s: float, r: float, t: float, cfg: SolverConfig) -> None:
     """``ValueError`` unless the Chapman-Kolmogorov check can split [s, t]
     at r: s < r < t, the semi-implicit scheme, and r at the end of a full
-    step of the march from s, where the shared flow holds a record."""
+    step of the march from s, where the shared flow and the frozen march
+    from delta_x hold a record."""
     if not (s < r < t):
         raise ValueError(f"need s < r < t, got s={s}, r={r}, t={t}")
     if cfg.scheme != "semi_implicit":
@@ -184,7 +185,10 @@ def chapman_kolmogorov_residual(
 ) -> float:
     """| P_{s,t} G(x, zeta) - int P_{r,t} G(y, mu_{s,r}) P_{s,r}(x, zeta; dy) |.
 
-    The intermediate point law is split into equal-mass quadrature nodes.
+    Both point laws come off one frozen march from delta_x over [s, t]:
+    P_{s,t} is its last record and P_{s,r} its record at r, which
+    ``check_split`` puts on the march's step grid. The intermediate point
+    law is split into equal-mass quadrature nodes.
     P_{r,t} G at every node comes from one backward Kolmogorov sweep from t
     to r along the shared nonlinear flow (the measure coordinate is
     deterministic, so its restart is exact), read off at the nodes by linear
@@ -198,10 +202,10 @@ def chapman_kolmogorov_residual(
     if quad_points < 1:
         raise ValueError(f"quad_points must be >= 1, got {quad_points!r}")
     flow = solve_nonlinear_fpe(zeta, coeffs, s, t, cfg)
-    direct = kernel_evaluate(G, coeffs, s, t, x, zeta, cfg, flow=flow)
+    nu = solve_frozen_fpe(delta_on_grid(x, zeta), flow, coeffs, cfg, s=s, t_end=t)
+    direct = ProductLaw(nu.states[-1], flow.state_at(t)).integrate(G)
 
-    mid = kernel_law(coeffs, s, r, x, zeta, cfg, flow=flow)
-    ys, ws = _stratified_nodes(mid.point_law, quad_points)
+    ys, ws = _stratified_nodes(nu.state_at(r), quad_points)
     g_t = G(zeta.centers[:, None], flow.state_at(t))
     w_r = solve_backward_kolmogorov(g_t, flow, coeffs, cfg, r, t)
     composed = float(np.dot(ws, np.interp(ys, zeta.centers, w_r)))

@@ -216,13 +216,12 @@ class GridDensity1D:
         return float(self.dx * self.values.sum())
 
     def density_at(self, x) -> np.ndarray:
-        """Cell lookup; zero outside the grid (Lebesgue-point convention)."""
+        """Cell lookup as one gather; every index outside [0, M) reads the
+        0 appended after the M values (Lebesgue-point convention)."""
         x = np.asarray(x, dtype=float)
-        idx = np.floor((x - self.x_min) / self.dx).astype(int)
-        inside = (idx >= 0) & (idx < self.n_cells)
-        out = np.zeros_like(x, dtype=float)
-        out[inside] = self.values[idx[inside]]
-        return out
+        idx = np.floor((x - self.x_min) / self.dx).astype(int).reshape(-1)
+        idx[(idx < 0) | (idx >= self.n_cells)] = self.n_cells
+        return np.append(self.values, 0.0)[idx].reshape(x.shape)
 
     def integrate(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
         """Cell-midpoint rule dx * sum_i u_i h(c_i), with h called on the

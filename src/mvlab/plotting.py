@@ -75,8 +75,8 @@ def line_plot(
             x, y = x[keep], np.log10(y[keep])
         curves.append((label, x, y))
     ys = np.concatenate([y for _, _, y in curves])
-    if logy and ys.size == 0:
-        raise ValueError("logy plot needs positive values")
+    if ys.size == 0:
+        raise ValueError("logy plot needs positive values" if logy else "need at least one point")
     x_lo, x_hi = _span(xs)
     y_lo, y_hi = _span(ys)
     pad = 0.05 * (y_hi - y_lo)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coefficients import NLDBMParams, canonical_confining_potential
-from .measures import GridDensity1D, InnerTest
+from .measures import GridDensity1D, InnerTest, _grid_centers
 
 __all__ = ["arctan_params", "tanh_test", "cos_test", "gaussian_grid"]
 
@@ -52,7 +52,7 @@ def cos_test() -> InnerTest:
 def gaussian_grid(var, mean=0.0, x_min=-8.0, dx=0.01, n=1600) -> GridDensity1D:
     """N(mean, var) sampled at the n cell centers from x_min, normalized to
     unit mass on the grid; ``ValueError`` if every sample underflows to zero."""
-    xs = x_min + dx * (np.arange(n) + 0.5)
+    xs = _grid_centers(x_min, dx, n)
     v = np.exp(-((xs - mean) ** 2) / (2 * var))
     if not v.sum() > 0:
         raise ValueError(f"N({mean}, {var}) has no mass on the grid [{x_min}, {x_min + dx * n}]")

@@ -89,6 +89,22 @@ class TestOracles:
         with pytest.raises(ValueError, match="outside the recorded span"):
             fk_evaluate(prob, 0.0, 0.5, nu, CFG, backend="mc", n_particles=100, flow=short)
 
+    @pytest.mark.parametrize("backend", ["mc", "grid"])
+    def test_both_backends_read_the_flow_grid_before_stepping(self, backend):
+        # mu on 200 cells from -4, the flow from N(2, 0.25) on the default grid:
+        # the MC backend used to return the flow's mean, 2.0
+        def source(t, X, m):
+            raise AssertionError("stepped before checking the flow grid")
+
+        cs = heat_coefficients(1, 1.0)
+        mu = gaussian_grid(0.25, x_min=-4.0, dx=0.04, n=200)
+        other = solve_nonlinear_fpe(gaussian_grid(0.25, 2.0), cs, 0.0, 0.1, SolverConfig(dt=1e-2))
+        prob = FKProblem(cs, 0.1, terminal=lambda X, m: np.full(X.shape[0], m.mean()[0]),
+                         source=source)
+        with pytest.raises(ValueError, match="mu grid does not match the flow grid"):
+            fk_evaluate(prob, 0.0, 0.5, mu, SolverConfig(dt=1e-2), backend=backend,
+                        n_particles=100, flow=other)
+
     def test_mc_needs_two_particles_before_solving(self, mu, monkeypatch):
         # one particle leaves no standard error (ddof=1)
         def no_solve(*args, **kwargs):

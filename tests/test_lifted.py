@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients
+from mvlab.coefficients import heat_coefficients, meanfield_ou_coefficients, nldbm_coefficients
 from mvlab.feynman_kac import FKProblem, fk_evaluate_grid
 from mvlab import lifted
-from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
+from mvlab.fpe import SolverConfig, solve_frozen_fpe, solve_nonlinear_fpe
 from mvlab.lifted import (
     LiftedTestFunction,
     ProductLaw,
     apply_lifted_generator,
     apply_measure_generator,
     chapman_kolmogorov_residual,
+    check_split,
     delta_on_grid,
     kernel_evaluate,
     kernel_law,
     measure_flow_derivative_residual,
 )
 from mvlab.measures import CylindricalFunction
-from mvlab.presets import cos_test, gaussian_grid, tanh_test
+from mvlab.presets import arctan_params, cos_test, gaussian_grid, tanh_test
 from tests_helpers import heat_semigroup_ck_residual, identity_test, linear_F, square_test
 
 
@@ -193,6 +196,44 @@ class TestKernel:
         like = gaussian_grid(0.5)
         assert np.array_equal(delta_on_grid(np.array([[0.5]]), like).values,
                               delta_on_grid(0.5, like).values)
+
+
+class TestOneFrozenMarch:
+    """The Chapman-Kolmogorov check reads both point laws off one frozen
+    march from delta_x over [s, t]."""
+
+    FAMILIES = {"meanfield_ou": meanfield_ou_coefficients(1.0, 0.5, 1.0)[0],
+                "nldbm_arctan": nldbm_coefficients(arctan_params())}
+
+    def test_ck_makes_one_frozen_march(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return solve_frozen_fpe(*args, **kwargs)
+
+        monkeypatch.setattr(lifted, "solve_frozen_fpe", counted)
+        chapman_kolmogorov_residual(
+            lambda y, m: np.cos(y[:, 0]), heat_coefficients(1, 1.0), 0.0, 0.04, 0.1, 0.3,
+            gaussian_grid(0.5, x_min=-4.0, dx=0.04, n=200), SolverConfig(dt=1e-2), quad_points=16,
+        )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([1e-3, 2e-3, 5e-3, 1e-2]), st.sampled_from([0.0, 0.1, 0.37]),
+           st.integers(1, 12), st.integers(1, 6), st.floats(-1.5, 1.5))
+    def test_march_to_t_holds_the_kernel_law_at_r(self, family, dt, s, n_r, n_after, x):
+        # the march to t reaches r at s + n_r dt, the march to r at r itself:
+        # the same record of the flow, so the same bits
+        cs, cfg = self.FAMILIES[family], SolverConfig(dt=dt)
+        r, t = s + n_r * dt, s + (n_r + n_after) * dt
+        check_split(s, r, t, cfg)
+        zeta = gaussian_grid(0.25, 0.5, x_min=-4.0, dx=0.04, n=200)
+        flow = solve_nonlinear_fpe(zeta, cs, s, t, cfg)
+        nu = solve_frozen_fpe(delta_on_grid(x, zeta), flow, cs, cfg, s=s, t_end=t)
+        law = kernel_law(cs, s, r, x, zeta, cfg, flow=flow)
+        assert np.array_equal(nu.state_at(r).values, law.point_law.values)
 
 
 class TestFlowDerivative:

@@ -33,6 +33,12 @@ def test_empty_series_rejected(tmp_path):
         line_plot([], str(tmp_path / "a.svg"))
 
 
+def test_all_empty_series_rejected_by_name(tmp_path):
+    # without logy an empty y range used to reach numpy's zero-size reduction
+    with pytest.raises(ValueError, match="need at least one point"):
+        line_plot([("a", [], [])], str(tmp_path / "a.svg"))
+
+
 def test_logy_needs_positive_values(tmp_path):
     with pytest.raises(ValueError):
         line_plot([("s", np.array([0.0, 1.0]), np.array([-1.0, -2.0]))],
