@@ -30,7 +30,7 @@ from .coefficients import (
     validate_hypotheses,
 )
 from .ergodicity import decay_study
-from .feynman_kac import FKProblem, fk_evaluate
+from .feynman_kac import FKProblem, fk_evaluate, l_derivative_fd
 from .fpe import SCHEMES, SolverConfig, solve_frozen_fpe, solve_nonlinear_fpe
 from .lifted import LiftedTestFunction, chapman_kolmogorov_residual, check_split
 from .measures import (
@@ -96,7 +96,7 @@ TERMINALS = {
 BOUNDS = {
     "dt": (">", 0), "dx": (">", 0), "horizon": (">", 0), "var": (">", 0),
     "n_cells": (">=", 1), "n_particles": (">=", 2), "record_every": (">=", 1),
-    "replicas": (">=", 1), "checkpoints": (">=", 1), "quad_points": (">=", 1),
+    "replicas": (">=", 1), "checkpoints": (">=", 2), "quad_points": (">=", 1),
     "n_boot": (">=", 2), "seed": (">=", 0), "bandwidth": (">=", 0), "tolerance": (">=", 0),
 }
 # the accepted values of a string
@@ -158,10 +158,11 @@ def _split_time(num: dict) -> float:
     return num["split_time"] if num["split_time"] > 0 else num["horizon"] / 2
 
 
-def validate_config(cfg: dict) -> dict:
-    """The one check of a config: ``ConfigError`` on anything that
-    ``run_experiment`` would reject as a config. Returns the numerics with
-    their defaults filled in."""
+def _inputs(cfg: dict) -> tuple:
+    """The one check of a config, and the inputs it builds for the run:
+    (numerics with their defaults filled in, coefficient set, extra,
+    laws), where ``laws`` maps each key of the experiment's ``GRID_LAWS``
+    to its grid density."""
     _check(cfg, TOP, "config", REQUIRED)
     experiment, fam = cfg["experiment"], cfg["coefficients"]
     families = FAMILIES.get(experiment, tuple(COEFFICIENTS))
@@ -176,21 +177,29 @@ def validate_config(cfg: dict) -> dict:
         if key in cfg:
             _check(cfg[key], INITIAL, key, ("kind",))
     with _config_errors("coefficients"):
-        _, extra = build_coefficients(fam)
+        coeffs, extra = build_coefficients(fam)
         if experiment == "ergodicity":
             extra.require_contractive()
+    laws = {}
     for key in GRID_LAWS.get(experiment, ("initial",)):
         with _config_errors(key):
-            grid = _initial_grid(cfg.get(key), num["x_min"], num["dx"], num["n_cells"])
+            laws[key] = _initial_grid(cfg.get(key), num["x_min"], num["dx"], num["n_cells"])
     if experiment in ("check-ck", "feynman-kac"):
         with _config_errors("numerics: eval_point"):
-            grid.check_inside_centers(num["eval_point"])
+            laws["initial"].check_inside_centers(num["eval_point"])
     if experiment == "feynman-kac" and not 0 <= num["eval_time"] <= num["horizon"]:
         raise ConfigError(f"numerics: eval_time must be in [0, horizon], got {num['eval_time']!r}")
     if experiment == "check-ck":
         with _config_errors("numerics: split_time"):
             check_split(0.0, _split_time(num), num["horizon"], SolverConfig(num["dt"], num["scheme"]))
-    return num
+    return num, coeffs, extra, laws
+
+
+def validate_config(cfg: dict) -> dict:
+    """The one check of a config: ``ConfigError`` on anything that
+    ``run_experiment`` would reject as a config. Returns the numerics with
+    their defaults filled in."""
+    return _inputs(cfg)[0]
 
 
 def build_coefficients(fam: dict):
@@ -219,52 +228,51 @@ def _write(path: str, text: str) -> None:
 
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
-    num = validate_config(cfg)
-    coeffs, extra = build_coefficients(cfg["coefficients"])
+    num, coeffs, extra, laws = _inputs(cfg)
     seed = cfg["seed"]
     experiment = cfg["experiment"]
     results: dict = {"experiment": experiment}
-    code = 0
-    dx, x_min, M = num["dx"], num["x_min"], num["n_cells"]
+    ok = True
+    dx, u0 = num["dx"], laws.get("initial")
     solver_cfg = SolverConfig(dt=num["dt"], scheme=num["scheme"])
 
+    def write_csv(text: str) -> None:
+        _write(os.path.join(out_dir, "results.csv"), text)
+
+    def plot(series: list, title: str, xlabel: str, ylabel: str, **kw) -> None:
+        line_plot(series, os.path.join(out_dir, "plot.svg"), title=title, xlabel=xlabel,
+                  ylabel=ylabel, **kw)
+
     if experiment == "solve-fpe":
-        u0 = _initial_grid(cfg.get("initial"), x_min, dx, M)
         path = solve_nonlinear_fpe(u0, coeffs, 0.0, num["horizon"], solver_cfg,
                                    record_every=num["record_every"])
         final = path.states[-1]
-        _write(os.path.join(out_dir, "results.csv"), final.to_csv())
+        write_csv(final.to_csv())
         results["conservation"] = path.log.to_dict()
         results["final_mean"] = float(final.mean()[0])
         results["final_second_moment"] = final.second_moment()
-        line_plot([("initial", u0.centers, u0.values), ("final", final.centers, final.values)],
-                  os.path.join(out_dir, "plot.svg"), title="density evolution",
-                  xlabel="x", ylabel="u")
+        plot([("initial", u0.centers, u0.values), ("final", final.centers, final.values)],
+             "density evolution", "x", "u")
 
     elif experiment == "simulate-mkv":
-        u0 = _initial_grid(cfg.get("initial"), x_min, dx, M)
         rng = np.random.default_rng(seed)
         x0 = sample_density(u0, num["n_particles"], rng).points
-        kde = KDESpec(x_min, dx, M,
+        kde = KDESpec(num["x_min"], dx, num["n_cells"],
                       bandwidth=num["bandwidth"] if num["bandwidth"] > 0 else "silverman")
         ens = simulate_mckean_vlasov(
             x0, coeffs, 0.0, num["horizon"],
             SimConfig(dt=num["dt"], seed=seed, record_every=num["record_every"], kde=kde),
         )
         mu_T = ens.marginal(len(ens.times) - 1)
-        _write(os.path.join(out_dir, "results.csv"),
-               csv_table(["x", "weight"], [mu_T.points[:, 0], mu_T.weights]))
+        write_csv(csv_table(["x", "weight"], [mu_T.points[:, 0], mu_T.weights]))
         results["final_mean"] = float(mu_T.mean()[0])
         results["final_second_moment"] = mu_T.second_moment()
-        line_plot([("kde", mu_T.density.centers, mu_T.density.values)],
-                  os.path.join(out_dir, "plot.svg"), title="terminal density estimate",
-                  xlabel="x", ylabel="u")
+        plot([("kde", mu_T.density.centers, mu_T.density.values)],
+             "terminal density estimate", "x", "u")
 
     elif experiment == "frozen-compare":
-        u0 = _initial_grid(cfg.get("initial"), x_min, dx, M)
-        nu0 = _initial_grid(cfg.get("initial_frozen"), x_min, dx, M)
         flow = solve_nonlinear_fpe(u0, coeffs, 0.0, num["horizon"], solver_cfg)
-        frozen = solve_frozen_fpe(nu0, flow, coeffs, solver_cfg,
+        frozen = solve_frozen_fpe(laws["initial_frozen"], flow, coeffs, solver_cfg,
                                   record_every=num["record_every"])
         ts, l1s, w2s = [], [], []
         for t, st in zip(frozen.times, frozen.states):
@@ -272,26 +280,23 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             ts.append(t)
             l1s.append(st.l1_distance(ref))
             w2s.append(wasserstein2(grid_to_measure(st), grid_to_measure(ref)))
-        _write(os.path.join(out_dir, "results.csv"), csv_table(["t", "l1", "w2"], [ts, l1s, w2s]))
+        write_csv(csv_table(["t", "l1", "w2"], [ts, l1s, w2s]))
         results["final_l1"] = l1s[-1]
         results["final_w2"] = w2s[-1]
-        line_plot([("L1", np.array(ts), np.array(l1s)), ("W2", np.array(ts), np.array(w2s))],
-                  os.path.join(out_dir, "plot.svg"), title="frozen vs nonlinear flow",
-                  xlabel="t", ylabel="distance")
+        plot([("L1", np.array(ts), np.array(l1s)), ("W2", np.array(ts), np.array(w2s))],
+             "frozen vs nonlinear flow", "t", "distance")
 
     elif experiment == "check-ck":
         h, g = tanh_test(), cos_test()
         G = LiftedTestFunction(g, CylindricalFunction.linear(h.h, h.grad, h.hess))
-        zeta = _initial_grid(cfg.get("initial"), x_min, dx, M)
         resid = chapman_kolmogorov_residual(
-            G, coeffs, 0.0, _split_time(num), num["horizon"], num["eval_point"], zeta, solver_cfg,
+            G, coeffs, 0.0, _split_time(num), num["horizon"], num["eval_point"], u0, solver_cfg,
             quad_points=num["quad_points"],
         )
         results["residual"] = resid
         tol = num["tolerance"] if num["tolerance"] > 0 else 5 * (num["dt"] + dx * dx)
         results["tolerance"] = tol
-        if resid > tol:
-            code = 2
+        ok = resid <= tol
 
     elif experiment == "ergodicity":
         ou = {**COEFFICIENTS["meanfield-ou"], **cfg["coefficients"]}
@@ -306,7 +311,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         x0mu = rng.normal(init["mean"], np.sqrt(init["var"]), (N, 1))
         x0nu = rng.normal(init_f["mean"], np.sqrt(init_f["var"]), (N, 1))
         # checkpoints about horizon / (checkpoints - 1) apart, on the record grid
-        rec = max(int(round(num["horizon"] / max(num["checkpoints"] - 1, 1) / num["dt"])), 1)
+        rec = max(int(round(num["horizon"] / (num["checkpoints"] - 1) / num["dt"])), 1)
         cps = np.arange(num["checkpoints"]) * rec * num["dt"]
         report = decay_study(
             coeffs, extra, x0mu, x0nu,
@@ -317,71 +322,60 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
             boot_seed=np.random.SeedSequence(seed).spawn(1)[0],
         )
         results.update(report.to_dict())
-        results["envelope_holds"] = report.envelope_holds()
-        _write(os.path.join(out_dir, "results.csv"), csv_table(
-            ["t", "w2_mu", "w2_nu", "envelope_sq"],
-            [report.times, report.w2_mu, report.w2_nu, report.envelope_sq]))
-        line_plot(
-            [("observed", report.times, report.observed_sq()),
-             ("envelope", report.times, report.envelope_sq)],
-            os.path.join(out_dir, "plot.svg"), title="decay to the invariant measure",
-            xlabel="t", ylabel="squared W2", logy=True,
-        )
-        if not report.envelope_holds():
-            code = 2
+        ok = results["envelope_holds"] = report.envelope_holds()
+        write_csv(csv_table(["t", "w2_mu", "w2_nu", "envelope_sq"],
+                            [report.times, report.w2_mu, report.w2_nu, report.envelope_sq]))
+        plot([("observed", report.times, report.observed_sq()),
+              ("envelope", report.times, report.envelope_sq)],
+             "decay to the invariant measure", "t", "squared W2", logy=True)
 
     elif experiment == "feynman-kac":
-        mu = _initial_grid(cfg.get("initial"), x_min, dx, M)
         Vc, fc = num["potential"], num["source"]
         prob = FKProblem(
             coeffs, num["horizon"], terminal=TERMINALS[cfg.get("terminal", TOP["terminal"])],
             potential=(lambda t, X, m: np.full(X.shape[0], Vc)) if Vc != 0 else None,
             source=(lambda t, X, m: np.full(X.shape[0], fc)) if fc != 0 else None,
         )
-        flow = solve_nonlinear_fpe(mu, coeffs, num["eval_time"], num["horizon"], solver_cfg)
-        est_grid = fk_evaluate(prob, num["eval_time"], num["eval_point"], mu, solver_cfg,
+        flow = solve_nonlinear_fpe(u0, coeffs, num["eval_time"], num["horizon"], solver_cfg)
+        est_grid = fk_evaluate(prob, num["eval_time"], num["eval_point"], u0, solver_cfg,
                                backend="grid", flow=flow)
-        est_mc = fk_evaluate(prob, num["eval_time"], num["eval_point"], mu, solver_cfg,
+        est_mc = fk_evaluate(prob, num["eval_time"], num["eval_point"], u0, solver_cfg,
                              backend="mc", n_particles=num["n_particles"], seed=seed, flow=flow)
         results["grid_value"] = est_grid.value
         results["mc_value"] = est_mc.value
         results["mc_stderr"] = est_mc.stderr
 
     elif experiment == "gradient-check":
-        from .feynman_kac import l_derivative_fd
-
         h, g = tanh_test(), cos_test()
         F = CylindricalFunction(
             inner=(h, g),
             outer=lambda rv: float(np.sin(rv[0]) + rv[0] * rv[1]),
             outer_grad=lambda rv: np.array([np.cos(rv[0]) + rv[1], rv[0]]),
         )
-        mu = grid_to_measure(_initial_grid(cfg.get("initial"), x_min, dx, M))
+        mu = grid_to_measure(u0)
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        errs = []
         for _ in range(num["replicas"]):
             c0, c1 = rng.normal(size=2)
             phi = lambda X: c0 * np.tanh(X) + c1 * np.cos(X)
             fd = l_derivative_fd(F, mu, phi, eps=1e-5)
             field = intrinsic_gradient(F, mu)
             pairing = mu.integrate(lambda X: np.einsum("ni,ni->n", field(X), phi(X)))
-            worst = max(worst, abs(fd - pairing) / max(abs(pairing), 1e-12))
-        results["worst_rel_err"] = worst
+            errs.append(abs(fd - pairing) / max(abs(pairing), 1e-12))
+        # np.max, not max: a NaN error is the worst
+        worst = results["worst_rel_err"] = float(np.max(errs))
         tol = num["tolerance"] if num["tolerance"] > 0 else 1e-4
         results["tolerance"] = tol
-        if worst > tol:
-            code = 2
+        ok = worst <= tol
 
     elif experiment == "validate-hypotheses":
         rng = np.random.default_rng(seed)
         target = (coeffs, extra) if cfg["coefficients"]["family"] == "meanfield-ou" else extra
         report = validate_hypotheses(target, rng=rng)
         results["margins"] = report.to_dict()
-        results["passed"] = report.passed
-        if not report.passed:
-            code = 2
+        ok = results["passed"] = report.passed
 
-    results["exit_code"] = code
+    code = results["exit_code"] = 0 if ok else 2
     _write_json(os.path.join(out_dir, "results.json"), results)
     return code
 

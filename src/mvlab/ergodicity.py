@@ -23,6 +23,7 @@ from .fpe import SolverConfig, solve_nonlinear_fpe
 from .measures import (
     EmpiricalMeasure,
     GridDensity1D,
+    _cloud,
     _quantile_levels,
     _w2_at_ranks,
     w2_to_quantile,
@@ -181,7 +182,7 @@ def decay_study(
         raise ValueError(f"n_boot must be >= 2, got {n_boot!r}")
     checkpoints = np.asarray(checkpoints, dtype=float)
     horizon = float(checkpoints[-1])
-    n = x0_mu.shape[0]
+    n = _cloud(x0_mu).shape[0]
     ens_mu, ens_nu = simulate_lifted(x0_mu, x0_nu, coeffs, 0.0, horizon, sim_cfg)
 
     rng = np.random.default_rng(boot_seed)

@@ -194,12 +194,15 @@ def pde_residual(
     the grid spacing on deterministic grid evaluations. The flow and the
     backward sweep each run in three pieces split at t + dt_fd and
     t + 2 dt_fd, so [t, horizon] is swept once and dt_fd need not be a whole
-    number of steps of ``cfg.dt``.
+    number of steps of ``cfg.dt``; it must be positive with t + 2 dt_fd
+    <= horizon, or ``ValueError`` is raised before any march.
 
     The central differences are deliberate: the grid backend is the
     transposed upwind finite-volume step, and a probe that reused that
     operator would only check the solver against itself.
     """
+    if not (dt_fd > 0 and t + 2 * dt_fd <= problem.horizon):
+        raise ValueError(f"dt_fd must be > 0 with t + 2 dt_fd <= horizon, got {dt_fd!r}")
     x = mu.check_inside_centers(x)
     i = int(np.argmin(np.abs(mu.centers - x)))
     if not (0 < i < mu.n_cells - 1):

@@ -221,8 +221,11 @@ def measure_flow_derivative_residual(
 ) -> tuple[float, float, float]:
     """Compare the central-difference time derivative of t -> F(mu_t) along a
     stored flow with the measure generator. Returns (fd, generator, residual).
-    The flow must hold records at t - dt_fd, t and t + dt_fd.
+    The flow must hold records at t - dt_fd, t and t + dt_fd, and dt_fd
+    must be positive.
     """
+    if not dt_fd > 0:
+        raise ValueError(f"dt_fd must be > 0, got {dt_fd!r}")
     mu_m = path.state_at(t - dt_fd)
     mu_p = path.state_at(t + dt_fd)
     fd = (F(mu_p) - F(mu_m)) / (2 * dt_fd)

@@ -152,6 +152,28 @@ def test_invariant_violation_exits_two(tmp_path):
     assert main(["run", path, "--out", out]) == 2
 
 
+@pytest.mark.parametrize("experiment, name", [("check-ck", "chapman_kolmogorov_residual"),
+                                              ("gradient-check", "l_derivative_fd")])
+def test_nan_check_exits_two(tmp_path, monkeypatch, experiment, name):
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: float("nan"))
+    path, _ = write_config(tmp_path, "nan.json", experiment=experiment)
+    assert main(["run", path, "--out", str(tmp_path / "nan")]) == 2
+
+
+@pytest.mark.parametrize("experiment, n_grids", [("frozen-compare", 2), ("solve-fpe", 1)])
+def test_run_builds_each_input_once(tmp_path, monkeypatch, experiment, n_grids):
+    calls = []
+    for name in ("build_coefficients", "_initial_grid"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    _, cfg = write_config(tmp_path, "once.json", experiment=experiment,
+                          numerics={**SMALL, "horizon": 0.02})
+    assert cli.run_experiment(cfg, str(tmp_path)) == 0
+    assert calls.count("build_coefficients") == 1
+    assert calls.count("_initial_grid") == n_grids
+
+
 def test_seed_override_lands_in_manifest(tmp_path):
     out = str(tmp_path / "seeded")
     path, _ = write_config(tmp_path, "seeded.json", experiment="gradient-check")
@@ -243,7 +265,9 @@ PROBE_NUMERICS = {"dt": 2e-3, "dx": 0.02, "n_cells": 800, "horizon": 0.05}
     ("simulate-mkv", HEAT, {}, {"seed": -1}, "seed"),
     ("simulate-mkv", HEAT, {"bandwidth": -0.1}, {}, "bandwidth"),
     ("gradient-check", HEAT, {"tolerance": -1.0}, {}, "tolerance"),
-], ids=[f"probe{i}" for i in range(1, 20)])
+    # one checkpoint runs no step: the envelope holds vacuously
+    ("ergodicity", OU, {"horizon": 1.0, "n_particles": 200, "checkpoints": 1}, {}, "checkpoints"),
+], ids=[f"probe{i}" for i in range(1, 21)])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, coefficients,
                                           numerics, top, key):
     path, _ = write_config(tmp_path, "probe.json", experiment=experiment,

@@ -131,6 +131,18 @@ class TestDecayStudy:
             decay_study(cs, mono, x0, x0, SimConfig(dt=1e-2, seed=4, record_every=5),
                         np.array([0.0, 0.05, 0.07, 0.1]), q, q, n_boot=2)
 
+    def test_list_clouds_give_the_array_report(self):
+        cs, mono = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        rng = np.random.default_rng(3)
+        x0mu, x0nu = rng.normal(2.0, 0.5, (200, 1)), rng.normal(-1.0, 1.0, (200, 1))
+        q = lambda p: norm.ppf(p, scale=np.sqrt(0.5))
+        run = lambda a, b: decay_study(cs, mono, a, b, SimConfig(dt=1e-2, seed=4, record_every=5),
+                                       np.array([0.0, 0.05, 0.1]), q, q, n_boot=5).to_dict()
+        listed, arrays = run(x0mu.tolist(), x0nu.tolist()), run(x0mu, x0nu)
+        assert listed.keys() == arrays.keys()
+        for k in arrays:
+            np.testing.assert_array_equal(listed[k], arrays[k], err_msg=k)
+
     def test_one_bootstrap_replicate_rejected(self, monkeypatch):
         # one replicate leaves no standard error (ddof=1)
         monkeypatch.setattr(ergodicity, "simulate_lifted", no_march)

@@ -178,6 +178,16 @@ class TestPDEResidual:
         scale = max(abs(res["flow_derivative"]), abs(res["point_term"]), 1e-12)
         assert abs(res["residual"]) / scale < 1e-2
 
+    # problem() ends at 1: 0.2 + 2 * 0.45 is past it
+    @pytest.mark.parametrize("dt_fd", [0.0, -1e-3, 0.45, float("nan")])
+    def test_dt_fd_checked_before_any_march(self, monkeypatch, mu, dt_fd):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking dt_fd")
+
+        monkeypatch.setattr(feynman_kac, "solve_nonlinear_fpe", no_solve)
+        with pytest.raises(ValueError, match="dt_fd"):
+            pde_residual(self.problem(), 0.2, 0.5, mu, CFG, dt_fd=dt_fd)
+
     def test_edge_point_rejected(self, mu):
         cs = heat_coefficients(1, 1.0)
         prob = FKProblem(cs, 0.5, terminal=lambda X, m: X[:, 0])

@@ -244,3 +244,9 @@ class TestFlowDerivative:
         F = linear_F(tanh_test())
         fd, gen, res = measure_flow_derivative_residual(F, cs, path, 0.5, 1e-4)
         assert res / abs(gen) < 1e-2
+
+    def test_zero_step_rejected(self):
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        path = solve_nonlinear_fpe(gaussian_grid(0.5, 1.0), cs, 0.0, 0.01, SolverConfig(dt=1e-3))
+        with pytest.raises(ValueError, match="dt_fd"):
+            measure_flow_derivative_residual(linear_F(tanh_test()), cs, path, 0.005, 0.0)
