@@ -14,7 +14,7 @@ from mvlab.coefficients import (
 )
 from mvlab.feynman_kac import FKProblem, fk_evaluate_mc
 from mvlab.fpe import SolverConfig, solve_nonlinear_fpe
-from mvlab.measures import EmpiricalMeasure, MeasureViewError
+from mvlab.measures import EmpiricalMeasure, MeasureViewError, sample_density, w2_to_quantile
 from mvlab.particles import (
     _BLOCK,
     KDESpec,
@@ -25,7 +25,7 @@ from mvlab.particles import (
     simulate_mckean_vlasov,
 )
 from mvlab.presets import arctan_params, gaussian_grid
-from tests_helpers import reference_normals
+from tests_helpers import observed_order, reference_normals
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +56,38 @@ class TestMoments:
         ens = simulate_mckean_vlasov(x0, cs, 0.0, 0.5, SimConfig(dt=1e-3, seed=2,
                                                                  record_every=500))
         assert ens.positions[-1].var() == pytest.approx(0.01 + 0.5, rel=0.1)
+
+
+class TestConvergence:
+    # The particle leg's two gates: weak order 1 in dt, and a W2 to the FPE
+    # that falls like N^(-1/2). Increments of the wrong variance (scaled by
+    # 1.1) read order 0.2 and sqrt(N) W2 of 8-30 here.
+    def test_weak_order_one_in_dt(self):
+        # mean-field OU (1, 0, 1) from X0 = 1: E[X_T^2] = e^(-2T) + (1 - e^(-2T))/2
+        cs, _ = meanfield_ou_coefficients(1.0, 0.0, 1.0)
+        hs = np.array([0.2, 0.1, 0.05, 0.025])
+        exact = np.exp(-2.0) + (1 - np.exp(-2.0)) / 2
+        err = []
+        for h in hs:
+            ens = simulate_mckean_vlasov(np.ones((200_000, 1)), cs, 0.0, 1.0,
+                                         SimConfig(dt=h, seed=1, record_every=10**6))
+            err.append(abs(np.mean(ens.positions[-1] ** 2) - exact))
+        assert observed_order(hs, err) >= 0.7, err
+
+    def test_sqrt_n_w2_to_the_fpe_stays_in_its_band(self):
+        # criterion 1's setup (NLDBM-arctan) at t = 1: no bias floor from
+        # N = 2.5e3 to 4e4
+        coeffs = nldbm_coefficients(arctan_params())
+        grid0 = gaussian_grid(0.25, 0.0, x_min=-12.0, dx=0.01, n=2400)
+        ref = solve_nonlinear_fpe(grid0, coeffs, 0.0, 1.0, SolverConfig(dt=1e-3),
+                                  record_every=1000).state_at(1.0, tol=1e-6)
+        cfg = SimConfig(dt=1e-3, seed=0, record_every=1000, kde=KDESpec(-12.0, 0.01, 2400))
+        scaled = {}
+        for n in (2_500, 10_000, 40_000):
+            x0 = sample_density(grid0, n, np.random.default_rng(n)).points
+            ens = simulate_mckean_vlasov(x0, coeffs, 0.0, 1.0, replace(cfg, seed=n))
+            scaled[n] = np.sqrt(n) * w2_to_quantile(ens.marginal_at(1.0, tol=1e-6), ref.quantile)
+        assert all(2.0 <= v <= 3.5 for v in scaled.values()), scaled
 
 
 class TestReproducibility:

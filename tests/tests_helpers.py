@@ -49,6 +49,12 @@ def lp_w2sq(mu, nu):
     return res.fun
 
 
+def observed_order(h, err):
+    """Least-squares slope of log err against log h: the observed order of a
+    method whose error at step (or scale) h is err."""
+    return float(np.polyfit(np.log(h), np.log(err), 1)[0])
+
+
 def reference_normals(seed, n, k, d):
     """(n, d) normals of step k, row i for stream i, drawn the plain way: a
     fresh Philox per counter block, each drawing the rows of its block."""
