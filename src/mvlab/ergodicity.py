@@ -175,12 +175,19 @@ def decay_study(
     that drew the initial clouds would resample them with their own words.
     The clouds must have one shape, (N, 1) or (N,), which
     ``measures._cloud`` reads as N particles on the line; clouds of other
-    shapes or of a width other than ``coeffs.d``, a checkpoint that is
-    not a recorded time, and n_boot < 2, raise ``ValueError``.
+    shapes or of a width other than ``coeffs.d``, checkpoints that are not
+    a non-empty, strictly increasing 1-D array of times >= 0, a checkpoint
+    that is not a recorded time, and n_boot < 2, raise ``ValueError``.
     """
     if n_boot < 2:
         raise ValueError(f"n_boot must be >= 2, got {n_boot!r}")
     checkpoints = np.asarray(checkpoints, dtype=float)
+    if not (checkpoints.ndim == 1 and checkpoints.size and checkpoints[0] >= 0
+            and np.all(np.diff(checkpoints) > 0)):
+        raise ValueError(
+            f"checkpoints must be a non-empty, strictly increasing 1-D array of "
+            f"times >= 0, got {checkpoints.tolist()!r}"
+        )
     horizon = float(checkpoints[-1])
     n = _cloud(x0_mu).shape[0]
     ens_mu, ens_nu = simulate_lifted(x0_mu, x0_nu, coeffs, 0.0, horizon, sim_cfg)

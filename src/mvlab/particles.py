@@ -6,20 +6,29 @@ kernel-density view on a fixed grid. The lifted process steps the nonlinear
 cloud and a cloud of the frozen dynamics side by side, sharing one draw per
 step (``simulate_lifted``); each cloud is stepped as its own contiguous array.
 
-Reproducibility contract: row i of a cloud rides stream i, and its normals
-are a function of (seed, row, step) alone, drawn from a counter-based
-generator (Philox) with no state carried between steps. They do not depend
-on how many rows the cloud has: the first m rows of an n-row run draw what
-an m-row run draws.
+The step is the simplified weak Euler scheme (Kloeden & Platen, *Numerical
+Solution of SDEs*, 1992, section 14.1): each Gaussian increment of
+Euler-Maruyama is replaced by a two-point one, +-sqrt(h) with probability
+1/2 each, which keeps weak order 1. What the package reads off a cloud is
+its law (a KDE, W2, moments, a Feynman-Kac expectation), so only the law of
+an increment matters.
+
+Reproducibility contract: row i of a cloud rides stream i, and its
+increments are a function of (seed, row, step) alone, drawn as random bits
+from a counter-based generator (Philox) with no state carried between
+steps. They do not depend on how many rows the cloud has: the first m rows
+of an n-row run draw what an m-row run draws.
 
 Cost: a simulation keeps one generator whose counter it sets for each
-``_BLOCK``-row block and step, and each block draws straight into its rows
-of the step's noise array; no step builds a generator.
+``_BLOCK``-row block and step, and each block unpacks one bit per entry
+straight into its rows of the step's increment array; no step builds a
+generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -40,12 +49,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KDESpec:
-    """Grid and bandwidth for the density view attached to empirical laws."""
+    """Grid and bandwidth for the density view attached to empirical laws:
+    ``dx > 0``, ``n_cells >= 2`` (the binned KDE splits each atom between
+    two neighbouring cells) and ``bandwidth`` either ``"silverman"`` or a
+    positive finite number, else ``ValueError`` naming the field."""
 
     x_min: float
     dx: float
     n_cells: int
     bandwidth: float | str = "silverman"
+
+    def __post_init__(self):
+        if not self.dx > 0:
+            raise ValueError(f"KDESpec: dx must be > 0, got {self.dx!r}")
+        if not self.n_cells >= 2:
+            raise ValueError(f"KDESpec: n_cells must be >= 2, got {self.n_cells!r}")
+        bw = self.bandwidth
+        if bw != "silverman" and not (isinstance(bw, Real) and 0 < bw < np.inf):
+            raise ValueError(
+                f"KDESpec: bandwidth must be 'silverman' or a positive finite number, got {bw!r}"
+            )
 
     def resolve_bandwidth(self, cloud: EmpiricalMeasure) -> float:
         if self.bandwidth == "silverman":
@@ -105,23 +128,24 @@ class PathEnsemble:
         return self.marginal(_record_index(self.times, t, tol))
 
 
-# Rows per Philox counter block (see ``_normals``). It is part of the key
+# Rows per Philox counter block (see ``_increments``). It is part of the key
 # scheme: changing it moves every particle result.
 _BLOCK = 4096
 
 
-def _normals(seed: int, n: int, d: int) -> Callable[[int], np.ndarray]:
-    """``draw(k)``: the (n, d) standard normals of step k, row i for stream i.
+def _increments(seed: int, n: int, d: int) -> Callable[[int], np.ndarray]:
+    """``draw(k)``: the (n, d) two-point increments of step k, each exactly
+    +1.0 or -1.0, row i for stream i.
 
-    Row i is row i mod B (B = ``_BLOCK``) of the draw keyed by seed at
-    counter (0, k, i // B, 0), and each block is drawn straight into its
-    rows of the output. ``standard_normal`` fills rows in order, so a row's
-    normals do not depend on n. One Philox generator serves every block of
-    every step, its counter set through ``state``. Every call returns the
-    same output array, overwritten.
+    Entry (i, j) is bit r = (i mod B) d + j (B = ``_BLOCK``) of the block
+    keyed by seed at counter (0, k, i // B, 0), where bit r of a block is
+    bit r mod 64 of word r // 64 of its ``random_raw`` words; a set bit is
+    +1. A block of rows draws ceil(rows d / 64) words in order, so a row's
+    increments do not depend on n. One Philox generator serves every block
+    of every step, its counter set through ``state``. Every call returns
+    the same output array, overwritten.
     """
     bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
     state = bitgen.state  # fresh buffer, as a newly keyed Philox has
     counter = state["state"]["counter"]
     out = np.empty((n, d))
@@ -130,7 +154,11 @@ def _normals(seed: int, n: int, d: int) -> Callable[[int], np.ndarray]:
         for blk, r0 in enumerate(range(0, n, _BLOCK)):
             counter[:] = (0, k, blk, 0)
             bitgen.state = state
-            gen.standard_normal(out=out[r0 : r0 + _BLOCK])
+            rows = out[r0 : r0 + _BLOCK]
+            words = bitgen.random_raw(-(-rows.size // 64)).astype("<u8", copy=False)
+            bits = np.unpackbits(words.view(np.uint8), count=rows.size, bitorder="little")
+            np.multiply(bits.reshape(rows.shape), 2.0, out=rows)
+            rows -= 1.0
         return out
 
     return draw
@@ -152,8 +180,9 @@ def _simulate(
     called once per step (t, h) with the clouds at t and returns one
     (b, sigma) per cloud there, shapes (N, d) and (N, d, m); each cloud then
     moves by b h + sigma Z sqrt(h), with one Z for all clouds: the (N, m)
-    normals of ``_normals``, whose generator is made once for the whole
-    simulation, at the first step, where the first sigma tells m.
+    two-point increments of ``_increments``, whose generator is made once
+    for the whole simulation, at the first step, where the first sigma
+    tells m.
 
     Each cloud is stepped as its own contiguous (N, d) array, into a new
     array per step: the caller's x0, the coefficients' outputs and a cloud
@@ -177,7 +206,7 @@ def _simulate(
     for k, (t, h, t_next) in enumerate(steps):
         fields = drift_diffusion(t, h, *Xs)
         if draw is None:
-            draw = _normals(cfg.seed, N, fields[0][1].shape[-1])
+            draw = _increments(cfg.seed, N, fields[0][1].shape[-1])
         z, sqrt_h = draw(k), np.sqrt(h)
         for i, (b, sig) in enumerate(fields):
             # X + b h + (sigma Z) sqrt(h) bit for bit: IEEE addition commutes

@@ -153,6 +153,16 @@ class TestDecayStudy:
             decay_study(cs, mono, x0, x0, SimConfig(dt=1e-2, seed=4),
                         np.array([0.0, 0.1]), q, q, n_boot=1)
 
+    @pytest.mark.parametrize("checkpoints", [[], [0.5, 0.1], [0.1, 0.1], [[0.0, 0.1]], [-0.1, 0.1]],
+                             ids=["empty", "decreasing", "repeated", "2-d", "negative"])
+    def test_checkpoints_checked_before_any_march(self, monkeypatch, checkpoints):
+        monkeypatch.setattr(ergodicity, "simulate_lifted", no_march)
+        cs, mono = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        x0 = np.random.default_rng(3).normal(0.0, 1.0, (200, 1))
+        q = lambda p: norm.ppf(p, scale=np.sqrt(0.5))
+        with pytest.raises(ValueError, match="checkpoints"):
+            decay_study(cs, mono, x0, x0, SimConfig(dt=1e-2, seed=4), checkpoints, q, q)
+
 
 class TestBootstrap:
     @staticmethod

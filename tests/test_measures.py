@@ -145,6 +145,15 @@ class TestGridDensity1D:
         g = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.01, n=2000)
         assert g.density_at(np.array([-50.0, 50.0])).tolist() == [0.0, 0.0]
 
+    def test_density_at_any_float_off_the_grid_is_zero(self):
+        # no cast of an out-of-range quotient to int, so no "invalid value"
+        # warning (errors under the suite's filter); 1e308 / dx overflows
+        g = presets.gaussian_grid(1.0, 0.0, x_min=-10.0, dx=0.01, n=2000)
+        x = np.array([1e300, np.inf, -np.inf, np.nan, 1e308, -1e308])
+        assert g.density_at(x).tolist() == [0.0] * 6
+        assert g.density_at(np.array([0.0, -10.0, 9.995])).tolist() == [
+            g.values[1000], g.values[0], g.values[1999]]
+
 
 @st.composite
 def small_cloud(draw):

@@ -19,13 +19,13 @@ from mvlab.particles import (
     _BLOCK,
     KDESpec,
     SimConfig,
-    _normals,
+    _increments,
     simulate_frozen,
     simulate_lifted,
     simulate_mckean_vlasov,
 )
 from mvlab.presets import arctan_params, gaussian_grid
-from tests_helpers import observed_order, reference_normals
+from tests_helpers import observed_order, reference_increments
 
 
 @pytest.fixture(scope="module")
@@ -123,26 +123,35 @@ class TestNormals:
     @given(n=st.integers(1, 3 * _BLOCK), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
            ks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
     def test_plan_equals_fresh_generator_per_block(self, n, d, seed, ks):
-        draw = _normals(seed, n, d)
+        draw = _increments(seed, n, d)
         for k in ks:
-            assert np.array_equal(draw(k), reference_normals(seed, n, k, d))
+            assert np.array_equal(draw(k), reference_increments(seed, n, k, d))
 
-    # SHA-256 of the normals' bytes, recorded with numpy 2.4.6. A change in
-    # numpy's Philox or ziggurat would move every stochastic result; this
-    # shows it without any BLAS call in between. Each case draws a cloud of
-    # n rows; the last three cross block edges.
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 2 * _BLOCK + 70), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           k=st.integers(0, 10**6), data=st.data())
+    def test_entries_are_signs_and_streams_are_rows(self, n, d, seed, k, data):
+        m = data.draw(st.integers(1, n))
+        z = _increments(seed, n, d)(k)
+        assert z.shape == (n, d) and np.all(np.abs(z) == 1.0)
+        assert np.array_equal(_increments(seed, m, d)(k), z[:m])
+
+    # SHA-256 of the increments' bytes, recorded with numpy 2.4.6. A change in
+    # numpy's Philox would move every stochastic result; this shows it
+    # without any BLAS call in between. Each case draws a cloud of n rows;
+    # the last three cross block edges.
     GOLDEN = [
-        (30, 2000, 0, 1, "0daa4eedbdf12b582b65c6859bade2bf736d41f88c5e2afecc9f0303da8ce4b9"),
-        (31, 9000, 7, 1, "e11ca6abc4f64d8c139aba01ba14593011c3d06aa7b6e15a421720e436cc74b9"),
-        (5, 4097, 3, 2, "56a26a3c3f916d60d313f599fbbed2fc09ced2afbebe9a50ee3b77c230499fc6"),
+        (30, 2000, 0, 1, "e5a4641c4d488c3eed6562e89a5c8b4e7d7d38d49ce55c88a76b3fda1150d4e7"),
+        (31, 9000, 7, 1, "bc6dce61ad150fd27a6fd04f2cce2a15802c46013d7a204f6ba56e47159c3538"),
+        (5, 4097, 3, 2, "094c326d5a3b4f9e35ee54fa90a4064b3d140b17631145338b1d0f74d8784120"),
         (2**32 - 1, 12289, 12, 2,
-         "d704b1191cff9100fcbb1750b39ac0fdbe185f020140aaf27a7de1db35e80c4b"),
+         "2069a957f633e36905cfad99afabeb9a9197ecace609df00c0da3095eb20b1c8"),
     ]
 
     @pytest.mark.parametrize("seed, n, k, d, digest", GOLDEN,
                              ids=[f"{seed}-{n}-{k}-{d}" for seed, n, k, d, _ in GOLDEN])
     def test_golden_digest(self, seed, n, k, d, digest):
-        z = _normals(seed, n, d)(k)
+        z = _increments(seed, n, d)(k)
         assert hashlib.sha256(z.tobytes()).hexdigest() == digest
 
 
@@ -295,13 +304,13 @@ class TestGoldenBits:
     # the particle layer's bits, its layout or its update order, must keep these
     GOLDEN = {
         "mkv_kde": (_golden_mkv_kde,
-                    "a773622282a55633a81dbde5a3cb9ca60dd0f873d57c1095a07534516b81728b"),
+                    "342e17de94884cc5777a7027ba79f0b6a774dd61bc10b9d967fa8bb64089c17c"),
         "lifted_d1": (lambda: _golden_lifted(1),
-                      "f22938173913c26ad272ef35b396ce9b48cf2982d254e409d3a3701ddee19e95"),
+                      "e73d31e0c4b4e70a85d20414827cd5b6f59990b4121f6ba5fc6509869ad01ce4"),
         "lifted_d2": (lambda: _golden_lifted(2),
-                      "1a2d40d7d284f1a1719d16547cfebc221aa2ae53fd31d43efe6f7ed51037888a"),
+                      "e349147f75afbfcbcd85fe93e879bb4ba7701c6f58b6dd0100f8b8bbd7c6bf61"),
         "fk_mc": (_golden_fk_mc,
-                  "1ba20f7d36e5512d564169fc004a2659eaa409b2d6335efd3970e246809cc45c"),
+                  "68babd29f063484c57e1f637def5f7ae6c9491be81e240d42b2d7a5cf75a3c14"),
     }
 
     @pytest.mark.parametrize("run, digest", GOLDEN.values(), ids=GOLDEN.keys())
@@ -318,7 +327,7 @@ class TestValidation:
         short = simulate_mckean_vlasov(x0, cs, 0.0, 0.0505, cfg)
         full = simulate_mckean_vlasov(x0, cs, 0.0, 0.051, cfg)
         assert short.times[-1] == 0.0505
-        # same normal, step sqrt(h): the half step moves sqrt(1/2) as far
+        # same increment, step sqrt(h): the half step moves sqrt(1/2) as far
         half = short.positions[-1] - short.positions[-2]
         whole = full.positions[-1] - full.positions[-2]
         assert np.abs(half - np.sqrt(0.5) * whole).max() <= 1e-15
@@ -358,6 +367,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="span"):
             simulate_frozen(initial_cloud(10), flow.state_at, ou, 0.0, 1.0,
                             SimConfig(dt=1e-2, seed=0))
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"dx": 0.0}, "dx"), ({"dx": -0.01}, "dx"), ({"n_cells": 0}, "n_cells"),
+        ({"n_cells": 1}, "n_cells"), ({"bandwidth": "silvermann"}, "bandwidth"),
+        ({"bandwidth": 0.0}, "bandwidth"), ({"bandwidth": np.nan}, "bandwidth"),
+        ({"bandwidth": np.inf}, "bandwidth"),
+    ], ids=["dx-0", "dx-neg", "cells-0", "cells-1", "bw-typo", "bw-0", "bw-nan", "bw-inf"])
+    def test_kde_spec_checks_its_fields(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"KDESpec: {field} must be"):
+            KDESpec(**{"x_min": -8.0, "dx": 0.02, "n_cells": 800, **kwargs})
 
     def test_density_closure_requires_kde(self):
         cs = nldbm_coefficients(arctan_params())

@@ -55,13 +55,17 @@ def observed_order(h, err):
     return float(np.polyfit(np.log(h), np.log(err), 1)[0])
 
 
-def reference_normals(seed, n, k, d):
-    """(n, d) normals of step k, row i for stream i, drawn the plain way: a
-    fresh Philox per counter block, each drawing the rows of its block."""
+def reference_increments(seed, n, k, d):
+    """(n, d) two-point increments of step k, row i for stream i, drawn the
+    plain way: a fresh Philox per counter block, whose raw words are read
+    as bits, least significant first, one per entry in row order; a set bit
+    is +1, a clear one -1."""
     parts = []
     for blk, r0 in enumerate(range(0, n, _BLOCK)):
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, k, blk, 0]))
-        parts.append(gen.standard_normal((min(_BLOCK, n - r0), d)))
+        rows = min(_BLOCK, n - r0)
+        words = np.random.Philox(key=seed, counter=[0, k, blk, 0]).random_raw(-(-rows * d // 64))
+        bits = [(int(w) >> b) & 1 for w in words for b in range(64)][: rows * d]
+        parts.append(np.array(bits, dtype=float).reshape(rows, d) * 2 - 1)
     return np.concatenate(parts)
 
 
