@@ -92,10 +92,12 @@ TERMINALS = {
 }
 # The smallest accepted value of a number: the smallest at which every
 # experiment that reads the key runs (n_boot and n_particles >= 2 for the
-# ddof=1 standard errors). A bandwidth or tolerance of 0 selects its default.
+# ddof=1 standard errors; n_cells >= 2 for the binned KDE, which splits an
+# atom between two cells, and for check-ck's delta). A bandwidth or
+# tolerance of 0 selects its default.
 BOUNDS = {
     "dt": (">", 0), "dx": (">", 0), "horizon": (">", 0), "var": (">", 0),
-    "n_cells": (">=", 1), "n_particles": (">=", 2), "record_every": (">=", 1),
+    "n_cells": (">=", 2), "n_particles": (">=", 2), "record_every": (">=", 1),
     "replicas": (">=", 1), "checkpoints": (">=", 2), "quad_points": (">=", 1),
     "n_boot": (">=", 2), "seed": (">=", 0), "bandwidth": (">=", 0), "tolerance": (">=", 0),
 }
@@ -141,7 +143,8 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    validate_config(cfg)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config: expected an object")
     return cfg
 
 
@@ -160,10 +163,10 @@ def _split_time(num: dict) -> float:
 
 def _inputs(cfg: dict) -> tuple:
     """The one check of a config, and the inputs it builds for the run:
-    (numerics with their defaults filled in, coefficient set, extra,
-    laws), where ``laws`` maps each key of the experiment's ``GRID_LAWS``
-    to its grid density."""
-    _check(cfg, TOP, "config", REQUIRED)
+    (config with the defaults of every section filled in, coefficient set,
+    extra, laws), where ``laws`` maps each key of the experiment's
+    ``GRID_LAWS`` to its grid density."""
+    full = _check(cfg, TOP, "config", REQUIRED)
     experiment, fam = cfg["experiment"], cfg["coefficients"]
     families = FAMILIES.get(experiment, tuple(COEFFICIENTS))
     if fam.get("family") not in families:
@@ -171,11 +174,11 @@ def _inputs(cfg: dict) -> tuple:
             f"coefficients: family must be one of {list(families)} for {experiment}, "
             f"got {fam.get('family')!r}"
         )
-    _check(fam, {"family": "", **COEFFICIENTS[fam["family"]]}, "coefficients")
-    num = _check(cfg["numerics"], NUMERICS, "numerics")
+    full["coefficients"] = _check(fam, {"family": "", **COEFFICIENTS[fam["family"]]}, "coefficients")
+    num = full["numerics"] = _check(cfg["numerics"], NUMERICS, "numerics")
     for key in ("initial", "initial_frozen"):
-        if key in cfg:
-            _check(cfg[key], INITIAL, key, ("kind",))
+        law = {**INITIAL, **ERGODICITY_INITIAL[key]} if experiment == "ergodicity" else INITIAL
+        full[key] = _check(cfg[key], law, key, ("kind",)) if key in cfg else law
     with _config_errors("coefficients"):
         coeffs, extra = build_coefficients(fam)
         if experiment == "ergodicity":
@@ -183,7 +186,7 @@ def _inputs(cfg: dict) -> tuple:
     laws = {}
     for key in GRID_LAWS.get(experiment, ("initial",)):
         with _config_errors(key):
-            laws[key] = _initial_grid(cfg.get(key), num["x_min"], num["dx"], num["n_cells"])
+            laws[key] = _initial_grid(full[key], num["x_min"], num["dx"], num["n_cells"])
     if experiment in ("check-ck", "feynman-kac"):
         with _config_errors("numerics: eval_point"):
             laws["initial"].check_inside_centers(num["eval_point"])
@@ -192,14 +195,14 @@ def _inputs(cfg: dict) -> tuple:
     if experiment == "check-ck":
         with _config_errors("numerics: split_time"):
             check_split(0.0, _split_time(num), num["horizon"], SolverConfig(num["dt"], num["scheme"]))
-    return num, coeffs, extra, laws
+    return full, coeffs, extra, laws
 
 
 def validate_config(cfg: dict) -> dict:
     """The one check of a config: ``ConfigError`` on anything that
     ``run_experiment`` would reject as a config. Returns the numerics with
     their defaults filled in."""
-    return _inputs(cfg)[0]
+    return _inputs(cfg)[0]["numerics"]
 
 
 def build_coefficients(fam: dict):
@@ -228,9 +231,12 @@ def _write(path: str, text: str) -> None:
 
 
 def run_experiment(cfg: dict, out_dir: str) -> int:
-    num, coeffs, extra, laws = _inputs(cfg)
-    seed = cfg["seed"]
-    experiment = cfg["experiment"]
+    """Check ``cfg`` and build its inputs, then write manifest.json and the
+    results into ``out_dir``: a rejected config writes no file."""
+    full, coeffs, extra, laws = _inputs(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    _manifest(cfg, out_dir)
+    num, seed, experiment = full["numerics"], full["seed"], full["experiment"]
     results: dict = {"experiment": experiment}
     ok = True
     dx, u0 = num["dx"], laws.get("initial")
@@ -299,14 +305,12 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
         ok = resid <= tol
 
     elif experiment == "ergodicity":
-        ou = {**COEFFICIENTS["meanfield-ou"], **cfg["coefficients"]}
-        from scipy.stats import norm
+        from scipy.special import ndtri
 
+        ou, init, init_f = full["coefficients"], full["initial"], full["initial_frozen"]
         scale = ou["sigma0"] / np.sqrt(2 * ou["lambda0"])
-        qfun = lambda p: norm.ppf(p, loc=0.0, scale=scale)
+        qfun = lambda p: ndtri(p) * scale
         rng = np.random.default_rng(seed)
-        init, init_f = ({**INITIAL, **ERGODICITY_INITIAL[k], **cfg.get(k, {})}
-                        for k in ("initial", "initial_frozen"))
         N = num["n_particles"]
         x0mu = rng.normal(init["mean"], np.sqrt(init["var"]), (N, 1))
         x0nu = rng.normal(init_f["mean"], np.sqrt(init_f["var"]), (N, 1))
@@ -332,7 +336,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
     elif experiment == "feynman-kac":
         Vc, fc = num["potential"], num["source"]
         prob = FKProblem(
-            coeffs, num["horizon"], terminal=TERMINALS[cfg.get("terminal", TOP["terminal"])],
+            coeffs, num["horizon"], terminal=TERMINALS[full["terminal"]],
             potential=(lambda t, X, m: np.full(X.shape[0], Vc)) if Vc != 0 else None,
             source=(lambda t, X, m: np.full(X.shape[0], fc)) if fc != 0 else None,
         )
@@ -370,7 +374,7 @@ def run_experiment(cfg: dict, out_dir: str) -> int:
 
     elif experiment == "validate-hypotheses":
         rng = np.random.default_rng(seed)
-        target = (coeffs, extra) if cfg["coefficients"]["family"] == "meanfield-ou" else extra
+        target = (coeffs, extra) if full["coefficients"]["family"] == "meanfield-ou" else extra
         report = validate_hypotheses(target, rng=rng)
         results["margins"] = report.to_dict()
         ok = results["passed"] = report.passed
@@ -407,21 +411,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.command == "validate":
+            validate_config(cfg)
+            print("config ok")
+            return 0
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        code = run_experiment(cfg, args.out or cfg.get("output_dir") or TOP["output_dir"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    if args.command == "validate":
-        print("config ok")
-        return 0
-
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_dir = args.out or cfg.get("output_dir") or TOP["output_dir"]
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        _manifest(cfg, out_dir)
-        code = run_experiment(cfg, out_dir)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

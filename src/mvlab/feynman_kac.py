@@ -231,16 +231,8 @@ def pde_residual(
     X = np.array([[x]])
     abar, vbar = _eval_fields(problem.coeffs.frozen, t, X, mu)
     point_term = 0.5 * float(abar[0]) * uxx + float(vbar[0]) * ux
-    V = (
-        float(np.asarray(problem.potential(t, X, mu), dtype=float)[0])
-        if problem.potential is not None
-        else 0.0
-    )
-    f = (
-        float(np.asarray(problem.source(t, X, mu), dtype=float)[0])
-        if problem.source is not None
-        else 0.0
-    )
+    V, f = (0.0 if g is None else float(np.asarray(g(t, X, mu), dtype=float)[0])
+            for g in (problem.potential, problem.source))
     residual = total_dt + point_term + V * u0 + f
     return {
         "residual": residual,

@@ -142,6 +142,17 @@ def test_unreadable_config_is_error(tmp_path):
     assert main(["run", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_object_config_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "out"
+    flags = {"validate": [], "run": ["--out", str(out), "--seed", "3"]}[command]
+    assert main([command, str(path), *flags]) == 1
+    assert "config error: config: expected an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invariant_violation_exits_two(tmp_path):
     out = str(tmp_path / "viol")
     num = dict(SMALL)
@@ -163,15 +174,21 @@ def test_nan_check_exits_two(tmp_path, monkeypatch, experiment, name):
 @pytest.mark.parametrize("experiment, n_grids", [("frozen-compare", 2), ("solve-fpe", 1)])
 def test_run_builds_each_input_once(tmp_path, monkeypatch, experiment, n_grids):
     calls = []
-    for name in ("build_coefficients", "_initial_grid"):
+    for name in ("_inputs", "build_coefficients", "_initial_grid"):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    _, cfg = write_config(tmp_path, "once.json", experiment=experiment,
-                          numerics={**SMALL, "horizon": 0.02})
-    assert cli.run_experiment(cfg, str(tmp_path)) == 0
-    assert calls.count("build_coefficients") == 1
-    assert calls.count("_initial_grid") == n_grids
+    path, cfg = write_config(tmp_path, "once.json", experiment=experiment,
+                             numerics={**SMALL, "horizon": 0.02})
+    # the library call, `mvlab run` and `mvlab validate` each check once
+    for run in (lambda: cli.run_experiment(cfg, str(tmp_path / "lib")),
+                lambda: main(["run", path, "--out", str(tmp_path / "cli")]),
+                lambda: main(["validate", path])):
+        calls.clear()
+        assert run() == 0
+        assert calls.count("_inputs") == 1
+        assert calls.count("build_coefficients") == 1
+        assert calls.count("_initial_grid") == n_grids
 
 
 def test_seed_override_lands_in_manifest(tmp_path):
@@ -181,6 +198,15 @@ def test_seed_override_lands_in_manifest(tmp_path):
     man = json.loads(Path(out, "manifest.json").read_text())
     assert man["config"]["seed"] == 99
     assert "versions" in man
+
+
+def test_seed_override_checked_before_any_file(tmp_path, capsys):
+    out = tmp_path / "seeded"
+    path, _ = write_config(tmp_path, "seeded.json", experiment="gradient-check")
+    assert main(["run", path, "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "seed" in err
+    assert not out.exists()
 
 
 def test_rerun_bitwise_identical(tmp_path):
@@ -242,8 +268,9 @@ HEAT = {"family": "heat"}
 PROBE_NUMERICS = {"dt": 2e-3, "dx": 0.02, "n_cells": 800, "horizon": 0.05}
 
 
-# Configs that `mvlab run` rejects (or passes vacuously): `validate` must
-# reject each of them and name the key.
+# Configs that the library rejects (or passes vacuously): `validate` and
+# `run` must each reject them as a config error that names the key, and
+# `run` must write no file.
 @pytest.mark.parametrize("experiment, coefficients, numerics, top, key", [
     ("solve-fpe", HEAT, {"dt": 0.0}, {}, "dt"),
     ("solve-fpe", HEAT, {"n_cells": 0}, {}, "n_cells"),
@@ -267,12 +294,17 @@ PROBE_NUMERICS = {"dt": 2e-3, "dx": 0.02, "n_cells": 800, "horizon": 0.05}
     ("gradient-check", HEAT, {"tolerance": -1.0}, {}, "tolerance"),
     # one checkpoint runs no step: the envelope holds vacuously
     ("ergodicity", OU, {"horizon": 1.0, "n_particles": 200, "checkpoints": 1}, {}, "checkpoints"),
-], ids=[f"probe{i}" for i in range(1, 21)])
+    # the binned KDE splits each atom between two cells
+    ("simulate-mkv", HEAT, {"n_cells": 1}, {}, "n_cells"),
+], ids=[f"probe{i}" for i in range(1, 22)])
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, experiment, coefficients,
                                           numerics, top, key):
     path, _ = write_config(tmp_path, "probe.json", experiment=experiment,
                            coefficients=coefficients,
                            numerics={**PROBE_NUMERICS, **numerics}, **top)
-    assert main(["validate", path]) == 1
-    err = capsys.readouterr().err
-    assert "config error:" in err and key in err
+    out = tmp_path / "out"
+    for argv in (["validate", path], ["run", path, "--out", str(out)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err
+    assert not out.exists()
