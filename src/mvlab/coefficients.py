@@ -10,8 +10,11 @@ package's one point rule, ``measures._cloud`` (a 1-D array is N points on
 the line), and raises ``ValueError`` when X's width is not ``d``; the
 callables take the (N, d) batch as it is.
 The measure argument is any object with ``mean()``/``second_moment()`` and,
-for Nemytskii coefficients, ``density_at(x)`` (a grid density reads its
-cells, a particle cloud its attached KDE view).
+for Nemytskii coefficients, ``density_at(x)`` and ``cellwise(f, x)`` (a grid
+density reads its cells, a particle cloud its attached KDE view).
+Nemytskii coefficients read the law through ``cellwise``: a map of the
+density is evaluated on the M + 1 values the density takes (M cells and the
+0 outside) and gathered to the points, not evaluated once per point.
 """
 
 from __future__ import annotations
@@ -92,6 +95,9 @@ class NLDBMParams:
     beta must be C^1 with beta(0) = 0 and gamma <= beta' <= gamma1;
     b_scalar is a bounded scalar drift modulation; the confining potential
     Phi (with Phi >= 1 and bounded gradient) enters through D = -grad Phi.
+    beta, beta_prime and b_scalar must act elementwise on arrays (Nemytskii
+    maps): the coefficients evaluate them on a density's cell values and
+    gather the results to the points.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]
@@ -163,16 +169,17 @@ def nldbm_coefficients(p: NLDBMParams) -> CoefficientSet:
 
     The diffusion of the generator is beta(u)/u, so sigma = sqrt(beta(u)/u);
     the drift is b_scalar(u(x)) * D(x) with D = -grad Phi. The measure
-    argument must expose a one-dimensional density view.
+    argument must expose a one-dimensional density view; b_scalar and
+    sqrt(beta(u)/u) are evaluated per cell of it (``cellwise``), grad Phi
+    per point.
     """
 
     def b(t, X, mu):
-        u = mu.density_at(X[:, 0])
-        return -np.asarray(p.b_scalar(u), dtype=float)[:, None] * np.asarray(p.gradPhi(X), dtype=float)
+        return mu.cellwise(lambda u: -p.b_scalar(u), X[:, 0])[:, None] * np.asarray(p.gradPhi(X), dtype=float)
 
     def sigma(t, X, mu):
-        u = mu.density_at(X[:, 0])
-        return _isotropic_sigma(np.sqrt(p.diffusion_ratio(u)), 1)
+        # the gather is a fresh array, so its (N, 1, 1) view is sigma itself
+        return mu.cellwise(lambda u: np.sqrt(p.diffusion_ratio(u)), X[:, 0])[:, None, None]
 
     return CoefficientSet(b=b, sigma=sigma, d=1)
 

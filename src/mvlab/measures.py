@@ -100,8 +100,8 @@ class EmpiricalMeasure:
 
     ``density`` optionally attaches a 1-D grid density view (typically a KDE of
     the cloud) so that Nemytskii-type coefficients can evaluate the cloud's
-    density at a point (``density_at``); moments are always computed from the
-    atoms themselves.
+    density at a point (``density_at``, ``cellwise``); moments are always
+    computed from the atoms themselves.
     """
 
     points: np.ndarray
@@ -155,15 +155,23 @@ class EmpiricalMeasure:
     def with_density(self, density: "GridDensity1D") -> "EmpiricalMeasure":
         return replace(self, density=density)
 
-    def density_at(self, x) -> np.ndarray:
-        """The attached density view at the points x; ``MeasureViewError``
-        when none is attached."""
+    def _density_view(self) -> "GridDensity1D":
         if self.density is None:
             raise MeasureViewError(
                 "empirical measure has no density view; attach one with "
                 "with_density(kde_density(...))"
             )
-        return self.density.density_at(x)
+        return self.density
+
+    def density_at(self, x) -> np.ndarray:
+        """The attached density view at the points x; ``MeasureViewError``
+        when none is attached."""
+        return self._density_view().density_at(x)
+
+    def cellwise(self, f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+        """``cellwise`` of the attached density view; ``MeasureViewError``
+        when none is attached."""
+        return self._density_view().cellwise(f, x)
 
     def sorted_1d(self) -> tuple[np.ndarray, np.ndarray]:
         if self.dim != 1:
@@ -215,15 +223,28 @@ class GridDensity1D:
     def mass(self) -> float:
         return float(self.dx * self.values.sum())
 
-    def density_at(self, x) -> np.ndarray:
-        """Cell lookup as one gather; every point whose floored cell
-        quotient lies outside [0, M), NaN and +-inf included, reads the 0
-        appended after the M values (Lebesgue-point convention)."""
+    def cell_index(self, x) -> np.ndarray:
+        """The one cell rule: the cell floor((x - x_min) / dx) of each point
+        as an int array of x's shape, and M for every point whose floored
+        quotient lies outside [0, M), NaN and +-inf included."""
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):  # a quotient past the float range is +-inf
             q = np.floor((x - self.x_min) / self.dx).reshape(-1)
         q[~((q >= 0) & (q < self.n_cells))] = self.n_cells
-        return np.append(self.values, 0.0)[q.astype(int)].reshape(x.shape)
+        return q.astype(int).reshape(x.shape)
+
+    def cellwise(self, f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+        """f of the density at the points x, with f evaluated once per cell:
+        on the M cell values and the 0 outside, then gathered by
+        ``cell_index``. For a Nemytskii map f (one acting elementwise) this
+        is f(density_at(x)) bit for bit, at M + 1 evaluations however many
+        points x holds."""
+        return np.asarray(f(np.append(self.values, 0.0)), dtype=float)[self.cell_index(x)]
+
+    def density_at(self, x) -> np.ndarray:
+        """Cell lookup as one gather: every point outside the M cells, NaN
+        and +-inf included, reads 0 (Lebesgue-point convention)."""
+        return np.append(self.values, 0.0)[self.cell_index(x)]
 
     def integrate(self, h: Callable[[np.ndarray], np.ndarray]) -> float:
         """Cell-midpoint rule dx * sum_i u_i h(c_i), with h called on the

@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mvlab.coefficients import (
     MonotonicityConstants,
@@ -13,7 +16,15 @@ from mvlab.coefficients import (
     validate_hypotheses,
 )
 from mvlab.lifted import LiftedTestFunction, apply_lifted_generator
-from mvlab.measures import EmpiricalMeasure, InnerTest, intrinsic_gradient, kde_density
+from mvlab.measures import (
+    EmpiricalMeasure,
+    GridDensity1D,
+    InnerTest,
+    MeasureViewError,
+    intrinsic_gradient,
+    kde_density,
+    silverman_bandwidth,
+)
 from mvlab.presets import arctan_params, cos_test, gaussian_grid, tanh_test
 from tests_helpers import linear_F, square_test
 
@@ -159,6 +170,79 @@ class TestPointRule:
     def test_fields_rejects_points_of_another_width(self):
         with pytest.raises(ValueError, match="width 2, the coefficients take 1"):
             OU.fields(0.0, np.zeros((3, 2)), CLOUD)
+
+
+OFF_GRID = (1e300, -1e300, 1e308, np.inf, -np.inf, np.nan)
+
+
+@st.composite
+def grid_and_points(draw):
+    """A grid density of M >= 2 cells (x_min, dx and nonnegative values
+    drawn, then normalized to mass 1) and points on it, beside it and off
+    every grid: 1e300, 1e308, +-inf and NaN."""
+    m = draw(st.integers(2, 300))
+    x_min, dx = draw(st.floats(-10.0, 10.0)), draw(st.floats(1e-3, 1.0))
+    raw = draw(arrays(np.float64, m, elements=st.one_of(st.just(0.0), st.floats(1e-40, 1.0))))
+    assume(raw.sum() > 0)
+    grid = GridDensity1D(x_min, dx, raw / (dx * raw.sum()))
+    near = st.floats(x_min - 2 * dx, x_min + (m + 2) * dx)
+    x = draw(st.lists(st.one_of(near, st.floats()), max_size=60))
+    return grid, np.array(x + list(OFF_GRID))
+
+
+def _counting(f, sizes):
+    def counted(u):
+        sizes.append(np.size(u))
+        return f(u)
+    return counted
+
+
+class TestPerCell:
+    """NLDBM evaluates b_scalar and sqrt(beta(u)/u) once per cell of the
+    density (``cellwise``) and gathers them; grad Phi stays per point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_and_points())
+    def test_per_cell_equals_per_point_bit_for_bit(self, case):
+        grid, x = case
+        p = arctan_params()
+        cs = nldbm_coefficients(p)
+        m = grid.n_cells
+        assert np.array_equal(grid.cell_index(grid.centers), np.arange(m))
+        idx = grid.cell_index(x)
+        assert idx.shape == x.shape and np.all((idx >= 0) & (idx <= m))
+        with np.errstate(over="ignore"):
+            quotients = np.floor((x - grid.x_min) / grid.dx)
+        assert idx.tolist() == [int(q) if 0 <= q < m else m for q in quotients]
+        X = x[:, None]
+        for mu in (grid, EmpiricalMeasure.from_atoms([0.0]).with_density(grid)):
+            u = mu.density_at(x)
+            assert np.array_equal(mu.cellwise(lambda v: v, x), u)
+            sigma = np.sqrt(p.diffusion_ratio(u))[:, None, None]
+            assert np.array_equal(cs.sigma(0.0, X, mu), sigma, equal_nan=True)
+            # grad Phi is inf * 0 at +-inf, per point at both sides
+            with np.errstate(invalid="ignore"):
+                b = -p.b_scalar(u)[:, None] * p.gradPhi(X)
+                assert np.array_equal(cs.b(0.0, X, mu), b, equal_nan=True)
+
+    def test_maps_of_the_density_see_one_value_per_cell(self):
+        sizes = []
+        p = arctan_params()
+        p = replace(p, b_scalar=_counting(p.b_scalar, sizes), beta=_counting(p.beta, sizes))
+        cs = nldbm_coefficients(p)
+        X = np.random.default_rng(3).normal(0.0, 0.5, (20_000, 1))
+        cloud = EmpiricalMeasure.from_atoms(X)
+        mu = cloud.with_density(
+            kde_density(cloud, -4.0, 0.01, 800, silverman_bandwidth(cloud), method="binned"))
+        b, sigma = cs.fields(0.0, X, mu)
+        assert b.shape == (20_000, 1) and sigma.shape == (20_000, 1, 1)
+        assert sizes == [801, 801]
+
+    @pytest.mark.parametrize("field", ["b", "sigma"])
+    def test_cloud_without_density_view_raises(self, field):
+        cs = nldbm_coefficients(arctan_params())
+        with pytest.raises(MeasureViewError, match="no density view"):
+            getattr(cs, field)(0.0, np.zeros((3, 1)), EmpiricalMeasure.from_atoms([0.0, 1.0]))
 
 
 class TestHypothesisValidation:
