@@ -15,10 +15,14 @@ density reads its cells, a particle cloud its attached KDE view).
 Nemytskii coefficients read the law through ``cellwise``: a map of the
 density is evaluated on the M + 1 values the density takes (M cells and the
 0 outside) and gathered to the points, not evaluated once per point.
+A field may return a shared read-only array (the constant sigma of the
+mean-field OU and heat families is one cached view per (sigma, N, d)); no
+caller writes into a field's output.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -156,12 +160,14 @@ class MonotonicityConstants:
             )
 
 
-def _isotropic_sigma(values: np.ndarray, d: int) -> np.ndarray:
-    """Scalar field -> (N, d, d) multiples of the identity."""
-    out = np.zeros((values.shape[0], d, d))
-    for i in range(d):
-        out[:, i, i] = values
-    return out
+@functools.lru_cache(maxsize=16)
+def _isotropic_sigma(value: float, n: int, d: int) -> np.ndarray:
+    """value * Id at n points: one read-only (n, d, d) view of a single
+    d x d matrix, built once per (value, n, d). A constant field returns
+    this one array at every evaluation, so no step allocates or fills it."""
+    one = np.zeros((d, d))
+    np.fill_diagonal(one, value)
+    return np.broadcast_to(one, (n, d, d))
 
 
 def nldbm_coefficients(p: NLDBMParams) -> CoefficientSet:
@@ -201,7 +207,7 @@ def meanfield_ou_coefficients(
         return -lambda0 * X + kappa0 * np.atleast_1d(mu.mean())
 
     def sigma(t, X, mu):
-        return _isotropic_sigma(np.full(X.shape[0], sigma0), d)
+        return _isotropic_sigma(float(sigma0), X.shape[0], d)
 
     consts = MonotonicityConstants(
         K=max(lambda0, abs(kappa0), sigma0) + 1.0,
@@ -220,7 +226,7 @@ def heat_coefficients(d: int = 1, diffusion: float = 1.0) -> CoefficientSet:
         return np.zeros_like(X)
 
     def sigma(t, X, mu):
-        return _isotropic_sigma(np.full(X.shape[0], np.sqrt(diffusion)), d)
+        return _isotropic_sigma(float(np.sqrt(diffusion)), X.shape[0], d)
 
     return CoefficientSet(b=b, sigma=sigma, d=d)
 

@@ -65,6 +65,16 @@ def _level_ranks(n: int) -> np.ndarray:
     return ranks
 
 
+@functools.lru_cache(maxsize=16)
+def _uniform_weights(n: int) -> np.ndarray:
+    """The weights 1/n of n equally weighted atoms, built once per n (a
+    particle run builds a law of the same n at every step), so the array is
+    read-only."""
+    weights = np.full(n, 1.0 / n)
+    weights.flags.writeable = False
+    return weights
+
+
 def _cloud(positions) -> np.ndarray:
     """The one shape rule of a particle cloud: ``positions`` as a C-ordered
     float array of shape (N, d), copied only when its dtype or order
@@ -134,7 +144,7 @@ class EmpiricalMeasure:
     def from_atoms(cls, positions, weights=None) -> "EmpiricalMeasure":
         pts = _cloud(positions)
         if weights is None:
-            weights = np.full(pts.shape[0], 1.0 / pts.shape[0])
+            weights = _uniform_weights(pts.shape[0])
         return cls(pts, weights)
 
     # sums over the atoms run in einsum's loops: threaded BLAS bits follow the thread count
@@ -454,13 +464,19 @@ def kde_density(
 
     ``binned`` assigns atoms to cells by linear interpolation and convolves
     with a discretized kernel; it is O(N + M log M) and is what the particle
-    simulator uses per step. ``exact`` sums kernels atom by atom.
+    simulator uses per step. ``exact`` sums kernels atom by atom. Non-finite
+    atoms, or a bandwidth that is not positive and finite, raise
+    ``ValueError`` before any binning.
     """
     if mu.dim != 1:
         raise ValueError("kde_density requires dim == 1")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
     x = mu.points[:, 0]
+    finite = np.isfinite(x)
+    if not finite.all():
+        bad = x.size - np.count_nonzero(finite)
+        raise ValueError(f"kde_density: {bad} of {x.size} atoms are not finite")
+    if not 0 < bandwidth < np.inf:  # NaN fails too
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     lo, hi = x_min + 5 * bandwidth, x_min + n_cells * dx - 5 * bandwidth
     outside = float(mu.weights[(x < lo) | (x > hi)].sum())
     if outside > 1e-6:

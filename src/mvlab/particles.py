@@ -20,9 +20,12 @@ steps. They do not depend on how many rows the cloud has: the first m rows
 of an n-row run draw what an m-row run draws.
 
 Cost: a simulation keeps one generator whose counter it sets for each
-``_BLOCK``-row block and step, and each block unpacks one bit per entry
-straight into its rows of the step's increment array; no step builds a
-generator.
+``_BLOCK``-row block and step, and one word buffer in which each block has
+its own slice; a step unpacks the buffer once, one bit per entry, into the
+step's increment array, and no step builds a generator. Constant inputs
+are built once, not per step: the isotropic sigma of the OU and heat
+coefficients and the uniform weights of a cloud's law are cached read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -142,23 +145,29 @@ def _increments(seed: int, n: int, d: int) -> Callable[[int], np.ndarray]:
     bit r mod 64 of word r // 64 of its ``random_raw`` words; a set bit is
     +1. A block of rows draws ceil(rows d / 64) words in order, so a row's
     increments do not depend on n. One Philox generator serves every block
-    of every step, its counter set through ``state``. Every call returns
+    of every step, its counter set through ``state``.
+
+    A full block holds B d / 64 whole words (64 divides B), so the blocks'
+    words laid end to end are the bits of the whole cloud in row order:
+    each block writes its words into its own slice of one word buffer, and
+    a step unpacks, scales and shifts that buffer once. Every call returns
     the same output array, overwritten.
     """
     bitgen = np.random.Philox(key=seed)
     state = bitgen.state  # fresh buffer, as a newly keyed Philox has
     counter = state["state"]["counter"]
+    words = np.empty(-(-n * d // 64), dtype="<u8")
+    blocks = [words[r0 * d // 64 : (r0 + _BLOCK) * d // 64] for r0 in range(0, n, _BLOCK)]
     out = np.empty((n, d))
 
     def draw(k: int) -> np.ndarray:
-        for blk, r0 in enumerate(range(0, n, _BLOCK)):
+        for blk, block_words in enumerate(blocks):
             counter[:] = (0, k, blk, 0)
             bitgen.state = state
-            rows = out[r0 : r0 + _BLOCK]
-            words = bitgen.random_raw(-(-rows.size // 64)).astype("<u8", copy=False)
-            bits = np.unpackbits(words.view(np.uint8), count=rows.size, bitorder="little")
-            np.multiply(bits.reshape(rows.shape), 2.0, out=rows)
-            rows -= 1.0
+            block_words[:] = bitgen.random_raw(block_words.size)
+        bits = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")
+        np.multiply(bits.reshape(out.shape), 2.0, out=out)
+        np.subtract(out, 1.0, out=out)
         return out
 
     return draw
@@ -174,15 +183,15 @@ def _simulate(
 ) -> list[PathEnsemble]:
     """The one Euler-Maruyama loop, over one or more clouds that share one
     draw per step. Each x0 takes the cloud shape rule of ``measures._cloud``
-    (a 1-D x0 is N particles on the line); clouds of different shapes, or
-    of a width d other than ``width``, the coefficients' dimension, raise
-    ``ValueError`` before the first step. ``drift_diffusion(t, h, *Xs)`` is
-    called once per step (t, h) with the clouds at t and returns one
-    (b, sigma) per cloud there, shapes (N, d) and (N, d, m); each cloud then
-    moves by b h + sigma Z sqrt(h), with one Z for all clouds: the (N, m)
-    two-point increments of ``_increments``, whose generator is made once
-    for the whole simulation, at the first step, where the first sigma
-    tells m.
+    (a 1-D x0 is N particles on the line); empty clouds, clouds of
+    different shapes, or of a width d other than ``width``, the
+    coefficients' dimension, raise ``ValueError`` before the first step.
+    ``drift_diffusion(t, h, *Xs)`` is called once per step (t, h) with the
+    clouds at t and returns one (b, sigma) per cloud there, shapes (N, d)
+    and (N, d, m); each cloud then moves by b h + sigma Z sqrt(h), with one
+    Z for all clouds: the (N, m) two-point increments of ``_increments``,
+    whose generator is made once for the whole simulation, at the first
+    step, where the first sigma tells m.
 
     Each cloud is stepped as its own contiguous (N, d) array, into a new
     array per step: the caller's x0, the coefficients' outputs and a cloud
@@ -193,6 +202,8 @@ def _simulate(
     if len({X.shape for X in Xs}) > 1:
         raise ValueError(f"the clouds must have one shape (N, d), got {[X.shape for X in Xs]}")
     N, d = Xs[0].shape
+    if N == 0:
+        raise ValueError("the cloud is empty: need at least one particle")
     if d != width:
         raise ValueError(f"the cloud has width {d}, the coefficients take {width}")
 

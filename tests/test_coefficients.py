@@ -143,6 +143,41 @@ class TestCoefficientSets:
         np.testing.assert_allclose(cs.generator(0.0, X, None, sq), [1.4, 1.4], rtol=1e-14)
 
 
+def filled_identity(value, n, d):
+    """value * Id at n points, built the plain way: zeros, then the diagonal."""
+    out = np.zeros((n, d, d))
+    for i in range(d):
+        out[:, i, i] = np.full(n, value)
+    return out
+
+
+class TestConstantSigma:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["ou", "heat"])
+    def test_sigma_is_one_cached_read_only_identity(self, family, d):
+        def coeffs(level):
+            if family == "ou":
+                return meanfield_ou_coefficients(1.0, 0.5, level, d)[0], level
+            return heat_coefficients(d, level), np.sqrt(level)
+
+        cs, value = coeffs(1.7)
+        X = np.random.default_rng(d).normal(size=(9, d))
+        s = cs.sigma(0.0, X, None)
+        assert s.shape == (9, d, d)
+        assert s.tobytes() == filled_identity(value, 9, d).tobytes()
+        assert not s.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s[0, 0, 0] = 0.0
+        assert cs.sigma(0.5, X + 1.0, None) is s
+        assert cs.fields(0.0, X, EmpiricalMeasure.from_atoms(X))[1] is s
+        other_n = cs.sigma(0.0, X[:4], None)
+        assert other_n.tobytes() == filled_identity(value, 4, d).tobytes()
+        other_cs, other_value = coeffs(0.6)
+        other_level = other_cs.sigma(0.0, X, None)
+        assert other_level is not s
+        assert other_level.tobytes() == filled_identity(other_value, 9, d).tobytes()
+
+
 OU, _ = meanfield_ou_coefficients(2.0, 0.5, 1.5)
 CLOUD = EmpiricalMeasure.from_atoms([1.0, 3.0])
 G = LiftedTestFunction(cos_test(), linear_F(tanh_test()))

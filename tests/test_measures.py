@@ -44,6 +44,23 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError, match="sum"):
             EmpiricalMeasure(np.zeros((2, 1)), np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("n", [1, 3, 20_000])
+    def test_from_atoms_weights_are_one_cached_read_only_array(self, n):
+        mu = EmpiricalMeasure.from_atoms(np.zeros(n))
+        assert mu.weights.tobytes() == np.full(n, 1.0 / n).tobytes()
+        assert not mu.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mu.weights[0] = 0.0
+        assert np.shares_memory(EmpiricalMeasure.from_atoms(np.ones(n)).weights, mu.weights)
+
+    @pytest.mark.parametrize("weights, match", [
+        ([0.5, 0.6], "sum"), ([1.5, -0.5], "nonnegative"), ([1.0, np.nan], "sum"),
+        ([1.0], "mismatch"),
+    ])
+    def test_from_atoms_checks_explicit_weights(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            EmpiricalMeasure.from_atoms([0.0, 1.0], np.array(weights))
+
     def test_moments(self):
         pts = np.array([[0.0], [2.0]])
         mu = EmpiricalMeasure(pts, np.array([0.25, 0.75]))
@@ -318,6 +335,28 @@ class TestKDE:
         mu = EmpiricalMeasure.from_atoms([0.0])
         with pytest.raises(ValueError, match="grid too small"):
             kde_density(mu, -0.5, 0.01, 100, bandwidth=0.5)
+
+    @pytest.mark.parametrize("method", ["exact", "binned"])
+    @pytest.mark.parametrize("atom", [np.nan, np.inf, -np.inf])
+    def test_non_finite_atoms_raise(self, method, atom):
+        mu = EmpiricalMeasure.from_atoms([0.0, atom, 0.5])
+        with pytest.raises(ValueError, match="1 of 3 atoms are not finite"):
+            kde_density(mu, -8.0, 0.01, 1600, 0.3, method=method)
+
+    @pytest.mark.parametrize("method", ["exact", "binned"])
+    def test_nan_cloud_with_its_silverman_bandwidth_names_the_atoms(self, method):
+        mu = EmpiricalMeasure.from_atoms([0.0, np.nan, 0.5])
+        bandwidth = silverman_bandwidth(mu)
+        assert np.isnan(bandwidth)
+        with pytest.raises(ValueError, match="atoms are not finite"):
+            kde_density(mu, -8.0, 0.01, 1600, bandwidth, method=method)
+
+    @pytest.mark.parametrize("method", ["exact", "binned"])
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -0.3])
+    def test_bandwidth_must_be_positive_and_finite(self, method, bandwidth):
+        mu = EmpiricalMeasure.from_atoms([0.0, 0.5])
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            kde_density(mu, -8.0, 0.01, 1600, bandwidth, method=method)
 
 
 class TestSamplingAndConversion:

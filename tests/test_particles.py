@@ -120,7 +120,7 @@ class TestReproducibility:
 
 class TestNormals:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 3 * _BLOCK), d=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+    @given(n=st.integers(1, 3 * _BLOCK), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            ks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4))
     def test_plan_equals_fresh_generator_per_block(self, n, d, seed, ks):
         draw = _increments(seed, n, d)
@@ -361,6 +361,11 @@ class TestValidation:
     def test_cloud_wider_than_the_coefficients_rejected(self, ou, name):
         with pytest.raises(ValueError, match="width"):
             self._run(name, np.zeros((5, 2)), ou)
+
+    @pytest.mark.parametrize("name", ["mkv", "frozen", "lifted"])
+    def test_empty_cloud_rejected(self, ou, name):
+        with pytest.raises(ValueError, match="empty"):
+            self._run(name, np.zeros((0, 1)), ou)
 
     def test_flow_must_cover_horizon(self, ou):
         flow = solve_nonlinear_fpe(gaussian_grid(0.25), ou, 0.0, 0.2, SolverConfig(dt=1e-2))
