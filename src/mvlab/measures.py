@@ -237,18 +237,25 @@ class GridDensity1D:
         """The one cell rule: the cell floor((x - x_min) / dx) of each point
         as an int array of x's shape, and M for every point whose floored
         quotient lies outside [0, M), NaN and +-inf included."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):  # a quotient past the float range is +-inf
-            q = np.floor((x - self.x_min) / self.dx).reshape(-1)
-        q[~((q >= 0) & (q < self.n_cells))] = self.n_cells
-        return q.astype(int).reshape(x.shape)
+        return _cell_index(self.x_min, self.dx, self.n_cells, x)
 
     def cellwise(self, f: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
         """f of the density at the points x, with f evaluated once per cell:
         on the M cell values and the 0 outside, then gathered by
         ``cell_index``. For a Nemytskii map f (one acting elementwise) this
         is f(density_at(x)) bit for bit, at M + 1 evaluations however many
-        points x holds."""
+        points x holds. When x is this grid's shared ``centers`` array (or a
+        view of the same memory, shape and strides) and the cell rule puts
+        each center in its own cell, the result is f of the M cell values,
+        with no index and no gather."""
+        c = self.centers
+        if (isinstance(x, np.ndarray) and x.dtype == c.dtype and x.shape == c.shape
+                and x.strides == c.strides
+                and x.__array_interface__["data"][0] == c.__array_interface__["data"][0]
+                and _centers_in_own_cells(self.x_min, self.dx, self.n_cells)):
+            out = np.asarray(f(self.values), dtype=float)
+            # f may hand back its argument; the result never aliases the density
+            return out.copy() if np.may_share_memory(out, self.values) else out
         return np.asarray(f(np.append(self.values, 0.0)), dtype=float)[self.cell_index(x)]
 
     def density_at(self, x) -> np.ndarray:
@@ -310,6 +317,23 @@ def _grid_centers(x_min: float, dx: float, n_cells: int) -> np.ndarray:
     centers = x_min + dx * (np.arange(n_cells) + 0.5)
     centers.flags.writeable = False
     return centers
+
+
+def _cell_index(x_min: float, dx: float, n_cells: int, x) -> np.ndarray:
+    """``GridDensity1D.cell_index`` on the grid (x_min, dx, n_cells)."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # a quotient past the float range is +-inf
+        q = np.floor((x - x_min) / dx).reshape(-1)
+    q[~((q >= 0) & (q < n_cells))] = n_cells
+    return q.astype(int).reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _centers_in_own_cells(x_min: float, dx: float, n_cells: int) -> bool:
+    """Whether the cell rule sends center i of the grid to cell i for every
+    i: rounding can break it only where |x_min| dwarfs dx."""
+    index = _cell_index(x_min, dx, n_cells, _grid_centers(x_min, dx, n_cells))
+    return bool(np.array_equal(index, np.arange(n_cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,35 @@ class TestGridDensity1D:
         assert g.density_at(np.array([0.0, -10.0, 9.995])).tolist() == [
             g.values[1000], g.values[0], g.values[1999]]
 
+    @pytest.mark.parametrize("x_min, dx, n", [
+        (-12.0, 0.01, 2400),
+        (-6.0, 0.02, 600),
+        # |x_min| dwarfs dx: rounding puts some centers in a neighbor cell
+        (1e6, 1e-10, 2000),
+    ])
+    def test_cellwise_on_the_centers_is_f_of_the_cells(self, x_min, dx, n):
+        u = np.random.default_rng(4).random(n) + 0.1
+        g = GridDensity1D(x_min, dx, u / (u.sum() * dx))
+        own = np.array_equal(g.cell_index(g.centers), np.arange(n))
+        p = presets.arctan_params()
+        sizes = []
+
+        def f(v):
+            sizes.append(v.size)
+            return np.sqrt(p.diffusion_ratio(v)) - p.b_scalar(v)
+
+        copy = np.array(g.centers)
+        assert copy.flags.writeable
+        for x, fast in ((g.centers, own), (g.centers[:, None][:, 0], own), (copy, False)):
+            sizes.clear()
+            out = g.cellwise(f, x)
+            assert out.shape == (n,)
+            assert np.array_equal(out, f(g.density_at(x)))
+            assert sizes[0] == (n if fast else n + 1)
+        assert own == (x_min != 1e6)
+        # a map that hands back its argument gives a fresh array
+        assert not np.shares_memory(g.cellwise(lambda v: v, g.centers), g.values)
+
 
 @st.composite
 def small_cloud(draw):
