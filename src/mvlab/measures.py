@@ -524,15 +524,31 @@ def kde_density(
         kx = np.arange(-half, half + 1) * dx
         kernel = np.exp(-0.5 * (kx / bandwidth) ** 2)
         kernel /= kernel.sum() * dx
-        # the n_cells centered entries of the full convolution: mode "same"
-        # returns the kernel's length when the kernel is the longer one
-        dens = np.convolve(hist, kernel, mode="full")[half : half + n_cells]
+        dens = _smooth(hist, kernel)
     else:
         raise ValueError(f"unknown method {method!r}")
     total = dens.sum() * dx
     if total <= 0:
         raise ValueError("estimated density has zero mass on the grid")
     return GridDensity1D(x_min, dx, dens / total)
+
+
+def _smooth(hist: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The len(hist) centered entries of the full convolution of hist with
+    the odd-length kernel (``mode="same"`` returns the kernel's length when
+    the kernel is the longer one), bit for bit. Only the support of hist is
+    convolved: entry j sums hist over [j - half, j + half], so the entries
+    within half of the nonzero bins keep the same window of hist, clipped to
+    the grid alike, and every other entry is exactly 0."""
+    n, half = hist.shape[0], kernel.shape[0] // 2
+    nz = np.flatnonzero(hist)
+    dens = np.zeros(n)
+    if nz.size == 0:
+        return dens
+    lo, hi = max(nz[0] - 2 * half, 0), min(nz[-1] + 2 * half + 1, n)
+    a, b = max(nz[0] - half, 0), min(nz[-1] + half + 1, n)
+    dens[a:b] = np.convolve(hist[lo:hi], kernel, mode="full")[half + a - lo : half + b - lo]
+    return dens
 
 
 def sample_density(rho: GridDensity1D, n: int, rng: np.random.Generator) -> EmpiricalMeasure:

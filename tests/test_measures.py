@@ -26,6 +26,7 @@ from mvlab.measures import (
     w2_to_quantile,
     _level_ranks,
     _quantile_levels,
+    _smooth,
     wasserstein2,
 )
 from tests_helpers import lp_w2sq, square_test
@@ -386,6 +387,38 @@ class TestKDE:
         mu = EmpiricalMeasure.from_atoms([0.0, 0.5])
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             kde_density(mu, -8.0, 0.01, 1600, bandwidth, method=method)
+
+
+@st.composite
+def binned_cloud(draw):
+    """A histogram of M cells whose nonzero bins span [first, last], often
+    touching an edge, and the binned KDE's kernel for a bandwidth of 0.05
+    to 600 cells."""
+    m = draw(st.integers(2, 3000))
+    first = draw(st.one_of(st.just(0), st.integers(0, m - 1)))
+    last = draw(st.one_of(st.just(m - 1), st.integers(first, m - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hist = np.zeros(m)
+    hist[first : last + 1] = rng.random(last + 1 - first) * (rng.random(last + 1 - first) < 0.7)
+    hist[[first, last]] = rng.random(2) + 0.1
+    hist /= hist.sum()
+    bw_cells = draw(st.one_of(st.floats(0.05, 5.0), st.floats(5.0, 600.0)))
+    half = int(np.ceil(6 * bw_cells))
+    kx = np.arange(-half, half + 1)
+    kernel = np.exp(-0.5 * (kx / bw_cells) ** 2)
+    return hist, kernel / kernel.sum()
+
+
+class TestSmooth:
+    @settings(max_examples=300, deadline=None)
+    @given(binned_cloud())
+    @example((np.array([0.25, 0.75]), np.array([0.2, 0.6, 0.2])))
+    @example((np.eye(1, 3000, 2999)[0], np.full(5, 0.2)))
+    def test_support_window_is_the_full_convolution_bit_for_bit(self, case):
+        hist, kernel = case
+        half = kernel.shape[0] // 2
+        full = np.convolve(hist, kernel, mode="full")[half : half + hist.shape[0]]
+        assert np.array_equal(_smooth(hist, kernel), full)
 
 
 class TestSamplingAndConversion:
