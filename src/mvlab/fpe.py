@@ -212,6 +212,20 @@ def _check_cfl(p, q, c):
         )
 
 
+def _extrapolate(now, before, ratio: float, out: np.ndarray):
+    """The interface coefficients (p, q) extrapolated linearly in time, one
+    step of ``ratio`` times the last one past ``now`` (p, q of the last step
+    end) from ``before`` (those of the end before), written into ``out``.
+    p is clipped to >= 0 and q to <= 0, so the band stays an M-matrix."""
+    for row, a, b in zip(out, now, before):
+        np.subtract(a, b, out=row)
+        row *= ratio
+        row += a
+    np.maximum(out[0], 0.0, out=out[0])
+    np.minimum(out[1], 0.0, out=out[1])
+    return out[0], out[1]
+
+
 def _eval_fields(coeffs: CoefficientSet, t: float, centers2d: np.ndarray, mu):
     """Diffusion a = sigma sigma^T and drift v = b on the cell centers."""
     b, s = coeffs.fields(t, centers2d, mu)
@@ -315,11 +329,18 @@ def _march(
     evaluates them once at the right end on the new iterate, and the step
     stops once its residual is below ``PICARD_TOL``; after ``MAX_PICARD``
     re-solves a residual above 1e3 ``PICARD_TOL`` raises
-    ``NonlinearSolveError``. The left-end fields are evaluated at the first
-    step only: a step whose accepted iterate needed no clipping hands its
+    ``NonlinearSolveError``. The first solve of a step starts from fields
+    it does not evaluate, except at the first step, which evaluates its
+    left end. A step whose accepted iterate needed no clipping carries its
     right-end fields, which saw those very values at the next step's start
-    time, to the next step. After a clip the next step evaluates its left
-    end again. ``log.field_evals`` counts the evaluations."""
+    time, to the next step. The second step solves with them; every later
+    step extrapolates the last two carried fields linearly in time to its
+    right end, (p, q)_k + (h_k / h_{k-1}) ((p, q)_k - (p, q)_{k-1}), with p
+    clipped to >= 0 and q to <= 0 (``_extrapolate``), so that one solve
+    usually meets the residual test. The guess only starts the iteration,
+    and the residual test decides as before. After a clip the next step
+    evaluates its left end again and the extrapolation starts over.
+    ``log.field_evals`` counts the evaluations."""
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     dx = u0.dx
@@ -341,6 +362,8 @@ def _march(
         return _interface_coeffs(*_eval_fields(coeffs, t, centers2d, mu), dx)
 
     carried = None  # (p, q) at the next step's left end, from the last Picard iterate
+    before = None  # (p, q) carried into the step before, while no clip intervened
+    guess = np.empty((2, u.shape[0] - 1))  # the extrapolated (p, q), one buffer per march
     for k, (t, dt, t_next) in enumerate(steps):
         c = dt / dx
         if cfg.scheme == "explicit":
@@ -350,7 +373,12 @@ def _march(
         elif flow is not None:
             u_new = _solve(_flux_band(*fields(t_next, u), c), u)
         else:
-            p, q = carried or fields(t, u)
+            if carried is None:
+                p, q = fields(t, u)
+            elif before is None:
+                p, q = carried
+            else:
+                p, q = _extrapolate(carried, before, dt / dt_before, guess)
             for it in range(MAX_PICARD + 1):
                 u_new = _solve(_flux_band(p, q, c), u)
                 p, q = fields(t_next, u_new)
@@ -363,7 +391,8 @@ def _march(
                     f"Picard iteration did not converge at t={t:g} "
                     f"(residual {resid:.3e} after {MAX_PICARD} iterations)"
                 )
-            carried = p, q
+            before, carried = carried, (p, q)
+            dt_before = dt
         drift = abs(u_new.sum() - mass0)
         log.max_mass_drift = max(log.max_mass_drift, drift)
         if not drift <= MASS_STEP_TOL:  # NaN fails too
@@ -375,7 +404,7 @@ def _march(
             )
         u = _clip_and_log(u_new, log)
         if u is not u_new:
-            carried = None  # the clip moved the values the carried fields saw
+            carried = before = None  # the clip moved the values the carried fields saw
         if (k + 1) % record_every == 0 or k + 1 == n_steps:
             times.append(t_next)
             states.append(GridDensity1D(u0.x_min, dx, (u / u.sum()) / dx))

@@ -16,12 +16,14 @@ from mvlab.coefficients import (
 )
 from mvlab.fpe import (
     MAX_PICARD,
+    PICARD_TOL,
     SPAN_SLACK,
     CFLError,
     DensityPath,
     NonlinearSolveError,
     SolverConfig,
     _check_cfl,
+    _eval_fields,
     _explicit_step,
     _flux_band,
     _interface_coeffs,
@@ -229,6 +231,65 @@ class TestPicard:
         assert calls == [c for (t, _, t_next), n in zip(steps, per_step) for c in [t] + [t_next] * n]
         assert (log.steps, log.field_evals) == (len(steps), len(calls))
 
+    def test_extrapolation_skips_the_two_steps_after_a_clip(self, monkeypatch):
+        # step 0 evaluates its left end and step 1 solves with the carried
+        # fields; a clip at step 3 makes step 4 evaluate its left end again
+        # and step 5 solve with carried fields, and the rest extrapolate
+        extrapolated, step = [], [0]
+        extrapolate, clip = fpe._extrapolate, fpe._clip_and_log
+
+        def counted_extrapolate(*args):
+            extrapolated.append(step[0])
+            return extrapolate(*args)
+
+        def step_end(u, log):
+            out = clip(u, log)
+            step[0] += 1
+            return out.copy() if step[0] == 4 else out
+
+        monkeypatch.setattr(fpe, "_extrapolate", counted_extrapolate)
+        monkeypatch.setattr(fpe, "_clip_and_log", step_end)
+        cs, _ = meanfield_ou_coefficients(1.0, 0.5, 1.0)
+        solve_nonlinear_fpe(gaussian(0.25, 1.0, -6.0, 0.04, 300), cs, 0.0, 8e-3,
+                            SolverConfig(dt=1e-3))
+        assert extrapolated == [2, 3, 6, 7]
+
+    @staticmethod
+    def march_family(family, u0, t_end, dt, record_every):
+        cs = (meanfield_ou_coefficients(1.0, 0.5, 1.0)[0] if family == "ou"
+              else nldbm_coefficients(arctan_params()))
+        return cs, solve_nonlinear_fpe(u0, cs, 0.0, t_end, SolverConfig(dt=dt), record_every)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["ou", "nldbm"]), st.floats(-1.0, 1.0), st.floats(0.1, 0.6),
+           st.sampled_from([5e-4, 1e-3, 4e-3]), st.integers(2, 30), st.floats(0.0, 0.99))
+    def test_every_accepted_iterate_meets_the_picard_tolerance(
+            self, family, mean, var, dt, n, short):
+        # a horizon off the step grid ends in a short step, whose guess
+        # extrapolates by h_k / h_{k-1} < 1
+        u0 = gaussian(var, mean, -6.0, 0.04, 300)
+        t_end = (n + short) * dt
+        cs, path = self.march_family(family, u0, t_end, dt, record_every=1)
+        steps = _time_steps(0.0, t_end, dt)
+        assert len(path.states) == len(steps) + 1
+        centers2d, dx = u0.centers[:, None], u0.dx
+        for (_, h, t_next), old, new in zip(steps, path.states, path.states[1:]):
+            p, q = _interface_coeffs(*_eval_fields(cs, t_next, centers2d, new), dx)
+            resid = np.max(np.abs(_explicit_step(new.values * dx, p, q, -h / dx) - old.values * dx))
+            assert resid <= PICARD_TOL
+
+    @pytest.mark.parametrize("family, grid, var, limit", [
+        # the benchmark's marches: the Feynman-Kac flow of ck_fk_ou and the
+        # FV leg of mkv_nldbm
+        ("ou", (-10.0, 0.01, 2000), 0.5, 1.1),
+        ("nldbm", (-12.0, 0.01, 2400), 0.25, 1.2),
+    ])
+    def test_extrapolated_start_takes_about_one_solve_per_step(self, family, grid, var, limit):
+        u0 = gaussian(var, 1.0 if family == "ou" else 0.0, *grid)
+        _, path = self.march_family(family, u0, 1.0, 1e-3, record_every=1000)
+        assert path.log.steps == 1000
+        assert path.log.field_evals / path.log.steps <= limit
+
     def test_unconverged_iteration_raises_after_max_picard(self):
         calls = []
 
@@ -326,9 +387,9 @@ class TestGoldenBits:
     # SHA-256 of FV results; a change that claims to keep the FV layer's
     # bits must keep these
     GOLDEN = [
-        (_golden_meanfield_ou, "451c4a259d2d3d73ed0dbc261d021bf6d4123f038f204cde4e4aefd250e70905"),
-        (_golden_nldbm_arctan, "65ab9b979322abd2d60a09cdf93bb589550cacdb0cbf9988d8b6abb85a5f3a4a"),
-        (_golden_backward_sweep, "220a01222ccc4f7b7aab856fd35d91705bfebfd7fcceca075143b38ffb6daf81"),
+        (_golden_meanfield_ou, "256937d0881411246c6c9c9f111b0a09669325636e0abd3f4db0cef5c77c0e23"),
+        (_golden_nldbm_arctan, "5cf4462413640eb0bc88927e37f8766ce9ed2f0acadca0eee875753ac1de810b"),
+        (_golden_backward_sweep, "bd1d97544a434db0f29220e0d2e0f4201712f8cb886ed3a22b7f70fdb24c8a51"),
     ]
 
     @pytest.mark.parametrize("run, digest", GOLDEN, ids=[run.__name__[8:] for run, _ in GOLDEN])

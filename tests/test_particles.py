@@ -310,7 +310,7 @@ class TestGoldenBits:
         "lifted_d2": (lambda: _golden_lifted(2),
                       "e349147f75afbfcbcd85fe93e879bb4ba7701c6f58b6dd0100f8b8bbd7c6bf61"),
         "fk_mc": (_golden_fk_mc,
-                  "68babd29f063484c57e1f637def5f7ae6c9491be81e240d42b2d7a5cf75a3c14"),
+                  "0fd2a060b4dd563d01c59354bb7521aab09e7e711c5c4087635f7199043bf9a7"),
     }
 
     @pytest.mark.parametrize("run, digest", GOLDEN.values(), ids=GOLDEN.keys())
