@@ -213,10 +213,11 @@ def _check_cfl(p, q, c):
 
 
 def _extrapolate(now, before, ratio: float, out: np.ndarray):
-    """The interface coefficients (p, q) extrapolated linearly in time, one
-    step of ``ratio`` times the last one past ``now`` (p, q of the last step
-    end) from ``before`` (those of the end before), written into ``out``.
-    p is clipped to >= 0 and q to <= 0, so the band stays an M-matrix."""
+    """now + ratio (now - before) for the interface coefficients (p, q) of
+    the last two step ends, ``now`` and ``before``: their linear
+    extrapolation to the end of a step ``ratio`` times as long as the last,
+    written into ``out``. p is clipped to >= 0 and q to <= 0, so the band
+    stays an M-matrix."""
     for row, a, b in zip(out, now, before):
         np.subtract(a, b, out=row)
         row *= ratio

@@ -390,7 +390,7 @@ class TestKDE:
 
 
 @st.composite
-def binned_cloud(draw):
+def histogram_and_kernel(draw):
     """A histogram of M cells whose nonzero bins span [first, last], often
     touching an edge, and the binned KDE's kernel for a bandwidth of 0.05
     to 600 cells."""
@@ -411,7 +411,7 @@ def binned_cloud(draw):
 
 class TestSmooth:
     @settings(max_examples=300, deadline=None)
-    @given(binned_cloud())
+    @given(histogram_and_kernel())
     @example((np.array([0.25, 0.75]), np.array([0.2, 0.6, 0.2])))
     @example((np.eye(1, 3000, 2999)[0], np.full(5, 0.2)))
     def test_support_window_is_the_full_convolution_bit_for_bit(self, case):
